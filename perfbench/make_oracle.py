@@ -32,9 +32,10 @@ def main():
             ]
     os.makedirs(os.path.dirname(EXHAUSTIVE_ORACLE), exist_ok=True)
     with open(EXHAUSTIVE_ORACLE, "w") as fh:
-        json.dump({"max_degree": MAX_DEGREE, "digits": DPS - 5, "entries": entries}, fh,
-                  indent=0)
-        fh.write("\n")
+        # one polynomial per line
+        fh.write(f'{{"max_degree": {MAX_DEGREE}, "digits": {DPS - 5}, "entries": {{\n')
+        fh.write(",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in entries.items()))
+        fh.write("\n}}\n")
 
 
 if __name__ == "__main__":
