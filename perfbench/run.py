@@ -7,11 +7,14 @@ One closed loop issues one operation at a time for whole rounds until
 ``--seconds`` have passed, then every output is checked against sympy and
 mpmath (oracle.py).  The last line of stdout is one JSON object with
 ``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end
-metrics with ``--trace 0``, the per-layer metrics of tracer.py with
-``--trace 1``.  Details of the run go to ``perfbench/out/``.
+metrics with ``--trace 0``, their times scaled to the reference speed of
+speed.py, and the per-layer metrics of tracer.py with ``--trace 1``.
+Details of the run, the measured times among them, go to
+``perfbench/out/``.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -20,12 +23,14 @@ import subprocess
 import sys
 from time import perf_counter
 
+import speed
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 WORKLOAD_NAMES = ("lattice_inertia", "mahler_sweep", "rational_entropy", "shift_entropy")
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 # op_tail_ms falls back down this ladder if a run is too short for the
 # workload's own percentile to keep ten operations beyond it
 TAIL_LADDER = (99.0, 95.0, 90.0, 50.0)
@@ -63,30 +68,42 @@ def build(name, seed):
 
 def measure_setup(args):
     """Median seconds from starting a fresh interpreter until it has
-    imported algentropy and built the workload's inputs."""
+    imported algentropy and built the workload's inputs, each probe
+    scaled by the reference-loop bursts around it (speed.py); also the
+    measured seconds."""
     cmd = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
            "--seed", str(args.seed), "--setup-probe"]
-    times = []
+    measured, scaled = [], []
+    bursts = [speed.burst() for _ in range(speed.NEIGHBOURS)]
     for _ in range(SETUP_PROBES):
         start = perf_counter()
         with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE) as proc:
             line = proc.stdout.readline()
-            times.append(perf_counter() - start)
+            seconds = perf_counter() - start
             proc.stdout.read()
             code = proc.wait(timeout=120)
         if line.strip() != b"ready" or code != 0:
             raise RuntimeError(f"set-up probe failed with exit code {code}")
-    return statistics.median(times), times
+        after = [speed.burst() for _ in range(speed.NEIGHBOURS)]
+        measured.append(seconds)
+        scaled.append(seconds * speed.NOMINAL_BURST_S / statistics.median(bursts + after))
+        bursts = after
+    return statistics.median(scaled), statistics.median(measured)
 
 
 def run_ops(workload, seconds, tracer=None):
-    """The closed loop: whole rounds until ``seconds`` have passed."""
+    """The closed loop: whole rounds until ``seconds`` have passed, with a
+    burst of the reference loop (speed.py) after every
+    ``speed.BURST_EVERY`` seconds of work, between operations."""
     latencies = []
+    stretch_of = []  # per latency, the stretch of work it fell in
+    stretches = []  # seconds of work between consecutive bursts
+    bursts = [speed.burst()]
     results = {}
     repeats_differ = []
     failures = []
     attempted = rounds = 0
-    start = perf_counter()
+    start = stretch_start = perf_counter()
     for ops in workload.rounds():
         rounds += 1
         for key, fn, args in ops:
@@ -98,8 +115,17 @@ def run_ops(workload, seconds, tracer=None):
                 res = fn(*args)
             except Exception as exc:  # counted as a failed operation, not fatal
                 failures.append(f"{key}: {exc!r}")
+                res = MISSING
+            t1 = perf_counter()
+            stretch = len(stretches)
+            if t1 - stretch_start >= speed.BURST_EVERY:
+                stretches.append(t1 - stretch_start)
+                bursts.append(speed.burst())
+                stretch_start = perf_counter()
+            if res is MISSING:
                 continue
-            latencies.append(perf_counter() - t0)
+            latencies.append(t1 - t0)
+            stretch_of.append(stretch)
             first = results.get(key, MISSING)
             if first is MISSING:
                 results[key] = res
@@ -107,12 +133,18 @@ def run_ops(workload, seconds, tracer=None):
                 repeats_differ.append(key)
         if perf_counter() - start >= seconds:
             break
+    stretches.append(perf_counter() - stretch_start)
+    bursts.append(speed.burst())
     elapsed = perf_counter() - start
+    scale = speed.scales(bursts)
     return {
         "elapsed": elapsed,
         "rounds": rounds,
         "attempted": attempted,
         "latencies": latencies,
+        "scaled_latencies": [t * scale[i] for t, i in zip(latencies, stretch_of)],
+        "work_s": sum(stretches),
+        "scaled_work_s": sum(t * k for t, k in zip(stretches, scale)),
         "results": results,
         "repeats_differ": repeats_differ,
         "failures": failures,
@@ -129,6 +161,16 @@ def tail(latencies, pct):
         if n - rank >= 10:
             return ordered[rank - 1], p
     return ordered[-1], 100.0
+
+
+def middle_mean(latencies, lo=40.0, hi=60.0):
+    """Mean of the latencies from the ``lo``-th to the ``hi``-th percentile
+    (nearest rank): a median that does not jump where the latencies have
+    a gap at the middle."""
+    ordered = sorted(latencies)
+    n = len(ordered)
+    band = ordered[max(0, math.ceil(lo / 100 * n) - 1): max(1, math.ceil(hi / 100 * n))]
+    return statistics.fmean(band)
 
 
 def trace_overhead(workload, rounds, seconds):
@@ -170,8 +212,12 @@ def main(argv=None):
     report = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace}
     if not args.trace:
-        report["setup_s"], report["setup_samples"] = measure_setup(args)
+        report["setup_s"], measured_setup_s = measure_setup(args)
+        report["measured"] = {"setup_s": measured_setup_s}
     workload = build(args.workload, args.seed)
+    # The inputs are the benchmark's, not the program's: keep the garbage
+    # collector's full passes from scanning them during the timed phase.
+    gc.freeze()
     tracer = None
     if args.trace:
         from tracer import Tracer
@@ -202,12 +248,19 @@ def main(argv=None):
         units["trace.overhead_pct"] = "%"
         metrics = {k: {"value": values[k], "unit": units[k]} for k in units}
     else:
-        tail_s, tail_pct = tail(timed["latencies"], workload.tail_pct)
+        tail_s, tail_pct = tail(timed["scaled_latencies"], workload.tail_pct)
         report["tail_pct"] = tail_pct
+        report["measured"].update(
+            ops_per_s=completed / timed["work_s"],
+            op_p50_ms=1e3 * middle_mean(timed["latencies"]),
+            op_tail_ms=1e3 * tail(timed["latencies"], tail_pct)[0],
+        )
+        # measured over scaled time: above 1 when the machine ran slow
+        report["slowdown"] = timed["work_s"] / timed["scaled_work_s"]
         metrics = {
             "setup_s": {"value": report["setup_s"], "unit": "s"},
-            "ops_per_s": {"value": completed / timed["elapsed"], "unit": "ops/s"},
-            "op_p50_ms": {"value": 1e3 * statistics.median(timed["latencies"]), "unit": "ms"},
+            "ops_per_s": {"value": completed / timed["scaled_work_s"], "unit": "ops/s"},
+            "op_p50_ms": {"value": 1e3 * middle_mean(timed["scaled_latencies"]), "unit": "ms"},
             "op_tail_ms": {"value": 1e3 * tail_s, "unit": "ms"},
             "peak_rss_mib": {"value": report["peak_rss_mib"], "unit": "MiB"},
         }
