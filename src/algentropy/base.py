@@ -1,4 +1,4 @@
-"""Shared value types: the infinite index/cardinal marker.
+"""Shared value types (the infinite index/cardinal marker) and helpers.
 
 Index and cardinal computations throughout the library return either an
 exact nonnegative ``int`` or the singleton :data:`INFINITE`.  Keeping a
@@ -70,3 +70,15 @@ INFINITE = Infinity()
 def is_finite(x):
     """True when ``x`` is an ordinary (finite) value."""
     return not isinstance(x, Infinity)
+
+
+def _is_prime(n):
+    """Trial-division primality test (primes in descriptors are small)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

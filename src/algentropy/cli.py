@@ -22,6 +22,7 @@ be written as decimal strings throughout.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -718,6 +719,7 @@ def _session_config(args):
         raise ParseError(str(exc)) from None
 
 
+@functools.cache
 def build_parser():
     top = _ArgumentParser(prog="algentropy", description=__doc__)
     _add_config_flags(top)

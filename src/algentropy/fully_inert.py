@@ -25,7 +25,7 @@ from .abelian import (
     subgroup_intersect,
     subgroup_sum,
 )
-from .base import INFINITE, Infinity, is_finite
+from .base import INFINITE, Infinity, _is_prime, is_finite
 from .cayley import FiniteGroup
 from .errors import DomainError, StabilizationError, UnsupportedAmbientError
 from .inertia import inert_index, iterated_inert_index
@@ -126,15 +126,6 @@ class GroupDescriptor:
             raise DomainError(
                 f"unknown cofinite default {self.cofinite_default!r}"
             )
-
-
-def _is_prime(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return n >= 2
 
 
 @dataclass(frozen=True)

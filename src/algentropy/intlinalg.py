@@ -7,11 +7,12 @@ each pivot positive, entries above a pivot reduced into [0, pivot).  Two
 lattices are equal iff their canonical forms are identical.
 
 The worker routines (echelonization with gcd steps, kernels via a tracked
-unimodular transform, Smith form with the smallest-entry pivot rule) are
-deliberately plain; matrices in this library are small and correctness is
-the only thing that matters.
+unimodular transform, Smith form by alternating row and column Hermite
+forms) are deliberately plain; matrices in this library are small and
+correctness is the only thing that matters.
 """
 
+import math
 from fractions import Fraction
 
 from .base import INFINITE
@@ -385,68 +386,19 @@ def det_bareiss(mat):
 def snf_invariant_factors(mat):
     """Nonzero diagonal of the Smith normal form, as a divisibility chain.
 
-    Pivot choice is deterministic: smallest absolute nonzero entry, ties
-    by (row, col) position.
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan & Bachem 1979); a gcd/lcm pass then sorts the diagonal into
+    a divisibility chain.
 
     >>> snf_invariant_factors(((2, 0), (0, 3)))
     [1, 6]
     """
-    work = [list(r) for r in mat]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    t = 0
-    out = []
-    while True:
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = work[i][j]
-                if v and (best is None or abs(v) < abs(work[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        work[t], work[i] = work[i], work[t]
-        for row in work:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nrows):
-                if work[i][t]:
-                    q = work[i][t] // work[t][t]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[t])]
-                    if work[i][t]:
-                        work[t], work[i] = work[i], work[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, ncols):
-                if work[t][j]:
-                    q = work[t][j] // work[t][t]
-                    for row in work:
-                        row[j] -= q * row[t]
-                    if work[t][j]:
-                        for row in work:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if work[i][j] % work[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            work[t] = [a + b for a, b in zip(work[t], work[offender])]
-        out.append(abs(work[t][t]))
-        t += 1
-        if t >= nrows or t >= ncols:
-            break
-    return out
+    m = hnf(mat)
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = hnf(transpose(m))
+    diag = [row[i] for i, row in enumerate(m)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag

@@ -108,26 +108,14 @@ def _peel_cyclotomics(g):
     k = 1
     while g.degree > 0 and k <= 2 * g.degree**2:
         phi = cyclotomic_polynomial(k)
-        while phi.degree <= g.degree and _divides_int(phi, g):
-            g = exact_div(g, phi)
+        while phi.degree <= g.degree:
+            try:
+                g = exact_div(g, phi)
+            except ValueError:
+                break
             removed += phi.degree
         k += 1
     return g, removed
-
-
-def _divides_int(phi, g):
-    """Monic integer division test phi | g, integer arithmetic only."""
-    rem = list(g.coeffs)
-    pd = phi.degree
-    pc = phi.coeffs
-    while len(rem) - 1 >= pd:
-        lead = rem[-1]
-        if lead:
-            off = len(rem) - 1 - pd
-            for i in range(pd + 1):
-                rem[off + i] -= lead * pc[i]
-        rem.pop()
-    return not any(rem)
 
 
 def kronecker_test(f):

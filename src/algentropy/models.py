@@ -16,6 +16,7 @@ interesting dynamics happen on three computable infinite models:
 from fractions import Fraction
 
 from .abelian import FgAbGroup
+from .base import _is_prime
 from .errors import AmbientMismatchError, BudgetExceededError, DomainError
 
 __all__ = [
@@ -215,17 +216,6 @@ def shift_trajectory_order(group, generators, n, cap=DEFAULT_ELEMENT_CAP):
         raise DomainError("step count must be positive")
     shifted = [g.shifted(i) for i in range(n) for g in generators]
     return len(group.closure(shifted, cap=cap))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class LinearShiftSpace:

@@ -1,10 +1,10 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Coefficients are stored ascending (index = power of t).  The integer
-type :class:`IntPolynomial` is immutable; rational intermediate results
-(inside gcds and square-free splitting) use plain Fraction lists and are
-converted back to primitive integer polynomials at the edges, which is
-the canonical form used everywhere else in the library.
+type :class:`IntPolynomial` is immutable, and every division stays in
+Z[t]: exact division is integer long division, and gcds run the
+primitive pseudo-remainder sequence, so primitive integer polynomials
+are the canonical form used everywhere else in the library.
 """
 
 from __future__ import annotations
@@ -173,78 +173,79 @@ def x_power_minus_one(n):
     return IntPolynomial([-1] + [0] * (n - 1) + [1])
 
 
-def _to_fraction_list(f):
-    return [Fraction(c) for c in f.coeffs]
+def _divmod_int(f, g):
+    """Long division f = g*q + r over Z: ascending lists (q, r), deg r < deg g.
 
-
-def _frac_divmod(a, b):
-    """Polynomial divmod over Q on ascending Fraction lists."""
-    a = a[:]
-    while a and not a[-1]:
-        a.pop()
-    db = len(b) - 1
-    while db >= 0 and not b[db]:
-        db -= 1
-    if db < 0:
+    Returns None at the first quotient coefficient that is not an
+    integer, so a failed exact division stops early.
+    """
+    gc = g.coeffs
+    if not gc:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - db)
-    inv = Fraction(1) / b[db]
-    while len(a) - 1 >= db and a:
-        d = len(a) - 1
-        coef = a[-1] * inv
-        q[d - db] = coef
-        for i in range(db + 1):
-            a[d - db + i] -= coef * b[i]
-        while a and not a[-1]:
-            a.pop()
-    return q, a
+    dg, lc = len(gc) - 1, gc[-1]
+    r = list(f.coeffs)
+    q = [0] * max(0, len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + dg], lc)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(dg):
+                r[k + i] -= c * gc[i]
+    return q, r[:dg]
 
 
-def _from_fraction_list(cs):
-    """Clear denominators and return the primitive integer polynomial."""
-    cs = [Fraction(c) for c in cs]
-    while cs and not cs[-1]:
-        cs.pop()
-    if not cs:
-        return IntPolynomial([])
-    den = 1
-    for c in cs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return IntPolynomial([int(c * den) for c in cs]).primitive()
+def _prem(f, g):
+    """Primitive part of the pseudo-remainder of f by nonzero g.
+
+    Each step scales by lc(g)/gcd and cancels the leading term, so the
+    result is a rational multiple of f mod g (Brown & Traub's primitive
+    PRS); taking the primitive part fixes that multiple.
+    """
+    gc = g.coeffs
+    dg, lc = len(gc) - 1, gc[-1]
+    r = list(f.coeffs)
+    while len(r) > dg:
+        lead = r[-1]
+        if lead:
+            h = math.gcd(lc, lead)
+            a, b = lc // h, lead // h
+            off = len(r) - 1 - dg
+            r = [a * x for x in r]
+            for i in range(dg):
+                r[off + i] -= b * gc[i]
+        r.pop()
+    return IntPolynomial(r).primitive()
 
 
 def exact_div(f, g):
-    """f // g when g divides f exactly over Q; result primitive up to sign.
+    """The integer polynomial q with f = g*q.
 
-    Returns the integer quotient polynomial (exact); raises ValueError on
-    a nonzero remainder.
+    Raises ValueError when g does not divide f or the quotient is not
+    integral.
     """
-    q, r = _frac_divmod(_to_fraction_list(f), _to_fraction_list(g))
-    if any(r):
-        raise ValueError("exact_div: division leaves a remainder")
-    den = 1
-    for c in q:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    if den != 1:
-        raise ValueError("exact_div: quotient is not integral")
-    return IntPolynomial([int(c) for c in q])
+    qr = _divmod_int(f, g)
+    if qr is None or any(qr[1]):
+        raise ValueError("exact_div: no integer quotient")
+    return IntPolynomial(qr[0])
 
 
 def divides(g, f):
     """True when g | f over Q."""
     if g.is_zero():
         return f.is_zero()
-    _, r = _frac_divmod(_to_fraction_list(f), _to_fraction_list(g))
-    return not any(r)
+    # Gauss's lemma: over Q, g | f iff its primitive part divides f over Z
+    qr = _divmod_int(f, g.primitive())
+    return qr is not None and not any(qr[1])
 
 
 def gcd_primitive(f, g):
-    """Primitive gcd over Z (Euclid over Q, then primitive part)."""
-    a, b = _to_fraction_list(f), _to_fraction_list(g)
-    while any(b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    return _from_fraction_list(a)
+    """Primitive gcd over Z (primitive pseudo-remainder sequence)."""
+    a, b = f.primitive(), g.primitive()
+    while not b.is_zero():
+        a, b = b, _prem(a, b)
+    return a
 
 
 def squarefree_decomposition(f):

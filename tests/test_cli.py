@@ -236,6 +236,18 @@ def test_determinism_byte_identical():
     assert first == second
 
 
+def test_parser_reuse_survives_parse_error():
+    # one process, one cached parser: a failed parse must not leak into the next request
+    argv = ("entropy", "halg", "--matrix", "[[1/2,3],[2,-1/3]]")
+    code, first, _ = invoke(*argv)
+    assert code == 0
+    code, out, _ = invoke("entropy", "halg", "--matrix")
+    assert code == 1 and out == ""
+    code, second, _ = invoke(*argv)
+    assert code == 0
+    assert first == second
+
+
 def test_json_round_trip():
     for argv in (
         ("group", "canon", "--group", "Z/6 x Z"),

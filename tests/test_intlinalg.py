@@ -2,16 +2,19 @@
 
 The reference computations here are deliberately naive: Fraction
 Gaussian elimination for determinants, elementwise enumeration for
-small lattice memberships.  Anything the fast path gets wrong should
+small lattice memberships, sympy for Smith normal forms.  Anything the fast path gets wrong should
 disagree with at least one of them.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 import algentropy.intlinalg as ila
 
@@ -87,12 +90,42 @@ def test_bareiss_large_entries_stay_exact():
     assert ila.det_bareiss(mat) == frac_det(mat)
 
 
-@given(small_mat)
+def sympy_invariant_factors(rows):
+    """Nonzero invariant factors from sympy's Smith normal form."""
+    return [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if d]
+
+
+@st.composite
+def snf_mats(draw):
+    """Rectangular matrices of either shape, some with a dependent row."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@given(snf_mats())
 def test_snf_chain_divides(rows):
     diag = ila.snf_invariant_factors(rows)
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
+    assert diag == sympy_invariant_factors(rows)
+    assert len(diag) == sympy.Matrix(rows).rank()
+
+
+def test_snf_16x16_regression():
+    # the smallest-entry pivot loop ran for over a minute on this matrix
+    rnd = random.Random(0)
+    mat = [[rnd.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+    start = time.perf_counter()
+    diag = ila.snf_invariant_factors(mat)
+    assert time.perf_counter() - start < 1.0
+    assert diag == sympy_invariant_factors(mat)
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3))

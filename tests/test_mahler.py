@@ -5,8 +5,12 @@ the library, so agreement within the certified radius is meaningful.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,6 +18,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import algentropy
 from algentropy.errors import DomainError
 from algentropy.mahler import (
     MahlerResult,
@@ -102,6 +107,26 @@ def test_cyclotomic_polynomials_match_sympy():
         ours = list(reversed(cyclotomic_polynomial(n).coeffs))
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
         assert ours == theirs
+
+
+def test_kronecker_cold_cache_regression():
+    # a fresh process starts with an empty cyclotomic table; filling it by
+    # Fraction division made this call take close to a minute
+    code = (
+        "import time\n"
+        "from algentropy.mahler import kronecker_test\n"
+        "from algentropy.polynomial import IntPolynomial\n"
+        "start = time.perf_counter()\n"
+        "verdict = kronecker_test(IntPolynomial([1, 1] + [0] * 18 + [1]))\n"
+        "print(verdict, time.perf_counter() - start)\n"
+    )
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    verdict, seconds = done.stdout.split()
+    assert verdict == "False"
+    assert float(seconds) < 10.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -63,6 +63,16 @@ def test_exact_div_rejects_remainders():
     g = IntPolynomial([1, 1])
     with pytest.raises(ValueError):
         exact_div(f, g)
+    # t^2 + t = 2t * (t + 1)/2: divisible over Q, but not with an integer quotient
+    with pytest.raises(ValueError):
+        exact_div(IntPolynomial([0, 1, 1]), IntPolynomial([0, 2]))
+
+
+def test_divides_over_q_with_non_monic_divisors():
+    assert divides(IntPolynomial([2, 2]), IntPolynomial([1, 1]))
+    assert divides(IntPolynomial([-1, 2]), IntPolynomial([-1, 1, 2]))  # (2t - 1)(t + 1)
+    assert not divides(IntPolynomial([1, 2]), IntPolynomial([0, 1, 1]))
+    assert not divides(IntPolynomial([3, 2]), IntPolynomial([1, 0, 1]))
 
 
 @given(coeff_lists, coeff_lists)
@@ -100,6 +110,8 @@ def test_squarefree_decomposition_reconstructs(a):
 @given(coeff_lists)
 @example([-5, -3, -5, -3, -5])
 @example([-3, 3, 0, -6, -3])
+@example([-3, -11, -8, 4])  # (2t + 1)^2 (t - 3): a repeated non-integer root
+@example([1, 0, -8, 0, 16])  # (2t - 1)^2 (2t + 1)^2
 def test_rational_roots_match_sympy(a):
     f = IntPolynomial(a)
     if f.is_zero() or f.constant == 0:
