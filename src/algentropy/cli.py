@@ -33,9 +33,6 @@ from .abelian import (
     FgAbGroup,
     canonicalize_presentation,
     subgroup_from_generators,
-    subgroup_index,
-    subgroup_intersect,
-    subgroup_sum,
 )
 from .base import INFINITE
 from .cayley import (
@@ -44,7 +41,7 @@ from .cayley import (
     finite_group_trajectory,
     minimal_transversal_count,
 )
-from .config import SessionConfig, default_config
+from .config import default_config
 from .entropy import (
     adjoint_cotrajectory,
     classify_growth,
@@ -66,11 +63,16 @@ from .fully_inert import (
     classify_self_inert,
     is_fully_inert,
 )
-from .inertia import cylinder_inert_index, inert_index, is_inertial_endomorphism
+from .inertia import (
+    _ambient_ops,
+    cylinder_inert_index,
+    inert_index,
+    is_inertial_endomorphism,
+)
 from .mahler import kronecker_test, mahler_measure, small_measure_scan
 from .models import CylinderFamily, ShiftGroup
 from .polynomial import IntPolynomial
-from .rational import RationalEndo, RationalLattice, lattice_index, lattice_intersect, lattice_sum
+from .rational import RationalEndo, RationalLattice
 
 __all__ = ["main", "run"]
 
@@ -454,21 +456,18 @@ def _require(args, *names):
 def _sub_pair(args):
     if args.space is not None:
         dim = args.space
-        return _lattice(dim, args.sub), _lattice(dim, args.other), "lattice"
+        return _lattice(dim, args.sub), _lattice(dim, args.other)
     _require(args, "group")
     group = parse_group(args.group)
-    return _fg_sub(group, args.sub), _fg_sub(group, args.other), "fg"
+    return _fg_sub(group, args.sub), _fg_sub(group, args.other)
 
 
 def _cmd_sub(args, cfg):
-    a, b, kind = _sub_pair(args)
+    a, b = _sub_pair(args)
+    ops = _ambient_ops(a, b)
     if args.subcommand == "index":
-        idx = subgroup_index(a, b) if kind == "fg" else lattice_index(a, b)
-        return {"index": _plain(idx)}
-    if args.subcommand == "sum":
-        out = subgroup_sum(a, b) if kind == "fg" else lattice_sum(a, b)
-    else:
-        out = subgroup_intersect(a, b) if kind == "fg" else lattice_intersect(a, b)
+        return {"index": _plain(ops.index(a, b))}
+    out = ops.sum(a, b) if args.subcommand == "sum" else ops.meet(a, b)
     return {"basis": _basis_payload(out)}
 
 

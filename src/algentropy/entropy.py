@@ -12,8 +12,10 @@ Computation paths
 * ``stabilization``: the index sequence a_n = |T_{n+1}/T_n| of a
   trajectory, run until a configurable window of equal values appears.
   The sequence is weakly decreasing (each quotient is an epic image of
-  the previous one), so the window rule is sound but carries a
-  ``heuristic`` flag: no effective stabilization bound is known.
+  the previous one), but a plateau as long as the window can still drop
+  later (480, 480, 480, then 160 on a 4x4 rational map), so every
+  stabilized value carries a ``heuristic`` flag: no effective
+  stabilization bound is known.
 * ``leading_coefficient``: intrinsic entropy as log of the leading
   coefficient of the primitive characteristic polynomial.
 * ``yuzvinski``: full algebraic entropy as the Mahler measure of the
@@ -33,19 +35,10 @@ models are where nonzero values live.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, pairwise
 
-from .abelian import (
-    Endo,
-    FgAbGroup,
-    Subgroup,
-    endo_apply_subgroup,
-    endo_kernel,
-    endo_preimage_subgroup,
-    subgroup_index,
-    subgroup_intersect,
-    subgroup_sum,
-)
-from .base import INFINITE, is_finite
+from .abelian import Endo, Subgroup
+from .base import is_finite
 from .config import default_config
 from .errors import (
     BudgetExceededError,
@@ -54,18 +47,15 @@ from .errors import (
     StabilizationError,
     UnsupportedAmbientError,
 )
-from .inertia import inert_index, strict_inert_index
+from .inertia import _ambient_ops, inert_index, strict_inert_index
 from .mahler import kronecker_test, mahler_measure
-from .models import LinearShiftSpace, ShiftElement, ShiftGroup
-from .rational import (
-    RationalEndo,
-    RationalLattice,
-    charpoly_primitive,
-    endo_apply_lattice,
-    lattice_index,
-    lattice_sum,
-    preimage_in_lattice,
+from .models import (
+    LinearShiftSpace,
+    ShiftElement,
+    ShiftGroup,
+    shift_trajectory_order,
 )
+from .rational import RationalEndo, RationalLattice, charpoly_primitive
 
 __all__ = [
     "CrossCheck",
@@ -142,8 +132,45 @@ def _log_report(q, path, steps=0, heuristic=False, cross=None):
     )
 
 
-def _window_done(values, window):
-    return len(values) >= window and len(set(values[-window:])) == 1
+def _stabilize(values, cfg, what):
+    """The prefix of ``values`` up to its first window of equal values.
+
+    At most ``cfg.max_steps`` values are drawn; a stream that shows no
+    window of ``cfg.stabilization_window`` equal values by then raises.
+    """
+    window = cfg.stabilization_window
+    seen = []
+    for value in islice(values, cfg.max_steps):
+        seen.append(value)
+        if len(seen) >= window and len(set(seen[-window:])) == 1:
+            return seen
+    raise StabilizationError(
+        f"{what} did not settle within {cfg.max_steps} steps"
+    )
+
+
+def _trajectory(ops, phi, h):
+    """T_1 = H, T_2, T_3, ... with T_{n+1} = T_n + phi^n H."""
+    total = image = h
+    while True:
+        yield total
+        image = ops.apply(phi, image)
+        total = ops.sum(total, image)
+
+
+def _cotrajectory(ops, phi, h):
+    """C_1 = H, C_2, C_3, ... with C_{n+1} = H ∩ phi^{-1} C_n."""
+    current = h
+    while True:
+        yield current
+        current = ops.preimage(phi, current, h)
+
+
+def _finite(values, error, message):
+    for value in values:
+        if not is_finite(value):
+            raise error(message)
+        yield value
 
 
 def _to_rational_endo(phi):
@@ -156,22 +183,6 @@ def _to_rational_endo(phi):
         )
     raise UnsupportedAmbientError(
         f"no matrix extension for {type(phi).__name__}"
-    )
-
-
-def _kind(phi, f):
-    if isinstance(phi, Endo) and isinstance(f, Subgroup):
-        if phi.group != f.group:
-            raise DomainError("endomorphism and subgroup ambients differ")
-        return "fg"
-    if isinstance(phi, RationalEndo) and isinstance(f, RationalLattice):
-        if phi.dim != f.ambient_dim:
-            raise DomainError("endomorphism and lattice dimensions differ")
-        return "lattice"
-    if isinstance(phi, ShiftGroup):
-        return "shift"
-    raise UnsupportedAmbientError(
-        f"no trajectory procedure for {type(phi).__name__}/{type(f).__name__}"
     )
 
 
@@ -188,7 +199,8 @@ def trajectory(phi, f, n, cap=None):
 
     For a shift group pass the group itself as ``phi`` (its canonical
     endomorphism is the right shift) and generators of F; the result is
-    the full element set.
+    the full element set, of at most ``cap`` elements (default: the
+    session's ``element_cap``).
 
     >>> from .rational import RationalEndo, RationalLattice
     >>> phi = RationalEndo.scalar(1, Fraction(3, 2))
@@ -197,21 +209,13 @@ def trajectory(phi, f, n, cap=None):
     """
     if n < 1:
         raise DomainError("trajectory needs n >= 1")
-    kind = _kind(phi, f)
-    if kind == "shift":
+    if isinstance(phi, ShiftGroup):
         gens = _shift_gens(phi, f)
         shifted = [g.shifted(i) for i in range(n) for g in gens]
-        return phi.closure(shifted, cap=cap or default_config().element_cap)
-    total = f
-    image = f
-    for _ in range(n - 1):
-        if kind == "fg":
-            image = endo_apply_subgroup(phi, image)
-            total = subgroup_sum(total, image)
-        else:
-            image = endo_apply_lattice(phi, image)
-            total = lattice_sum(total, image)
-    return total
+        if cap is None:
+            cap = default_config().element_cap
+        return phi.closure(shifted, cap=cap)
+    return next(islice(_trajectory(_ambient_ops(f, phi), phi, f), n - 1, None))
 
 
 def h_alg_stabilized(phi, h, config=None):
@@ -228,60 +232,31 @@ def h_alg_stabilized(phi, h, config=None):
     (Fraction(2, 1), True)
     """
     cfg = config or default_config()
-    kind = _kind(phi, h)
-    if kind == "shift":
-        return _shift_stabilized(phi, h, cfg, check_order=False)
-    first = strict_inert_index(h, phi)
-    if not is_finite(first):
+    if isinstance(phi, ShiftGroup):
+        return _shift_stabilized(phi, h, cfg)
+    if not is_finite(strict_inert_index(h, phi)):
         raise NotInertError("subgroup is not inert under the map")
-    total = h
-    image = h
-    indices = []
-    for _ in range(cfg.max_steps):
-        if kind == "fg":
-            image = endo_apply_subgroup(phi, image)
-            bigger = subgroup_sum(total, image)
-            step = subgroup_index(bigger, total)
-        else:
-            image = endo_apply_lattice(phi, image)
-            bigger = lattice_sum(total, image)
-            step = lattice_index(bigger, total)
-        total = bigger
-        indices.append(step)
-        if _window_done(indices, cfg.stabilization_window):
-            return _log_report(
-                indices[-1], "stabilization", len(indices), heuristic=True
-            )
-    raise StabilizationError(
-        f"index sequence did not settle within {cfg.max_steps} steps"
-    )
+    return _index_stabilized(phi, h, cfg)
 
 
-def _shift_stabilized(group, gens, cfg, check_order):
+def _index_stabilized(phi, h, cfg):
+    ops = _ambient_ops(h, phi)
+    steps = (ops.index(b, a) for a, b in pairwise(_trajectory(ops, phi, h)))
+    steps = _finite(steps, DomainError, "trajectory left the finite world")
+    seen = _stabilize(steps, cfg, "index sequence")
+    return _log_report(seen[-1], "stabilization", len(seen), heuristic=True)
+
+
+def _shift_stabilized(group, gens, cfg):
     gens = _shift_gens(group, gens)
-    pool = list(gens)
-    current = group.closure(pool, cap=cfg.element_cap)
-    if check_order and len(current) == 0:  # pragma: no cover - closure has 0
-        raise DomainError("empty subgroup")
-    moving = list(gens)
-    ratios = []
-    size = len(current)
-    for _ in range(cfg.max_steps):
-        moving = [g.shifted() for g in moving]
-        pool.extend(moving)
-        bigger = group.closure(pool, cap=cfg.element_cap)
-        nxt = len(bigger)
-        if nxt % size:  # pragma: no cover - internal consistency
-            raise AssertionError("trajectory orders must divide")
-        ratios.append(nxt // size)
-        size = nxt
-        if _window_done(ratios, cfg.stabilization_window):
-            return _log_report(
-                ratios[-1], "stabilization", len(ratios), heuristic=True
-            )
-    raise StabilizationError(
-        f"index sequence did not settle within {cfg.max_steps} steps"
+    orders = (
+        shift_trajectory_order(group, gens, n, cap=cfg.element_cap)
+        for n in count(1)
     )
+    seen = _stabilize(
+        (big // small for small, big in pairwise(orders)), cfg, "index sequence"
+    )
+    return _log_report(seen[-1], "stabilization", len(seen), heuristic=True)
 
 
 def ent(phi, config=None):
@@ -373,94 +348,45 @@ def i_entropy(phi, seed, plugin, config=None):
     if isinstance(phi, ShiftGroup):
         if plugin != "log_order":
             raise DomainError("shift groups carry the log_order invariant")
-        return _shift_stabilized(phi, seed, cfg, check_order=True)
+        return _shift_stabilized(phi, seed, cfg)
     if isinstance(phi, LinearShiftSpace):
         if plugin == "log_order":
             raise DomainError("sequence spaces carry dimension-like invariants")
         if plugin == "rank" and phi.p != 0:
             raise DomainError("rank means dimension over the rationals")
-        return _dimension_stabilized(phi, seed, cfg)
+        return _increments_stabilized(_span_dims(phi, seed), cfg)
     if isinstance(phi, Endo) and isinstance(seed, Subgroup):
         if plugin == "log_order":
             if not is_finite(seed.order()):
                 raise DomainError("log_order needs a finite starting subgroup")
-            return _order_stabilized(phi, seed, cfg)
+            return _index_stabilized(phi, seed, cfg)
         if plugin == "rank":
-            return _rank_stabilized(phi, seed, cfg)
+            chain = _trajectory(_ambient_ops(seed, phi), phi, seed)
+            return _increments_stabilized(map(Subgroup.free_rank, chain), cfg)
         raise DomainError("dimension plugin lives on sequence spaces")
     raise UnsupportedAmbientError(
         f"no invariant procedure for {type(phi).__name__}"
     )
 
 
-def _order_stabilized(phi, seed, cfg):
-    total = seed
-    image = seed
-    ratios = []
-    for _ in range(cfg.max_steps):
-        image = endo_apply_subgroup(phi, image)
-        bigger = subgroup_sum(total, image)
-        step = subgroup_index(bigger, total)
-        if not is_finite(step):
-            raise DomainError("trajectory left the finite world")
-        total = bigger
-        ratios.append(step)
-        if _window_done(ratios, cfg.stabilization_window):
-            return _log_report(
-                ratios[-1], "stabilization", len(ratios), heuristic=True
-            )
-    raise StabilizationError(
-        f"increments did not settle within {cfg.max_steps} steps"
-    )
-
-
-def _rank_stabilized(phi, seed, cfg):
-    total = seed
-    image = seed
-    increments = []
-    rank = total.free_rank()
-    for _ in range(cfg.max_steps):
-        image = endo_apply_subgroup(phi, image)
-        total = subgroup_sum(total, image)
-        nxt = total.free_rank()
-        increments.append(nxt - rank)
-        rank = nxt
-        if _window_done(increments, cfg.stabilization_window):
-            d = increments[-1]
-            return EntropyReport(
-                value=float(d),
-                path="stabilization",
-                exact_value=Fraction(d),
-                steps_used=len(increments),
-                heuristic=True,
-            )
-    raise StabilizationError(
-        f"increments did not settle within {cfg.max_steps} steps"
-    )
-
-
-def _dimension_stabilized(space, seed, cfg):
+def _span_dims(space, seed):
+    """dim of seed + shift(seed) + ... + shift^{n-1}(seed), n = 1, 2, ..."""
     pool = [space.vector(v) for v in seed]
     moving = list(pool)
-    dim = space.dim(pool)
-    increments = []
-    for _ in range(cfg.max_steps):
+    while True:
+        yield space.dim(pool)
         moving = [space.shift(v) for v in moving]
         pool.extend(moving)
-        nxt = space.dim(pool)
-        increments.append(nxt - dim)
-        dim = nxt
-        if _window_done(increments, cfg.stabilization_window):
-            d = increments[-1]
-            return EntropyReport(
-                value=float(d),
-                path="stabilization",
-                exact_value=Fraction(d),
-                steps_used=len(increments),
-                heuristic=True,
-            )
-    raise StabilizationError(
-        f"increments did not settle within {cfg.max_steps} steps"
+
+
+def _increments_stabilized(sizes, cfg):
+    seen = _stabilize((b - a for a, b in pairwise(sizes)), cfg, "increments")
+    return EntropyReport(
+        value=float(seen[-1]),
+        path="stabilization",
+        exact_value=Fraction(seen[-1]),
+        steps_used=len(seen),
+        heuristic=True,
     )
 
 
@@ -479,38 +405,22 @@ def limit_free_h(phi, f, config=None):
     Fraction(9, 1)
     """
     cfg = config or default_config()
-    kind = _kind(phi, f)
-    if kind == "shift":
+    if isinstance(phi, ShiftGroup):
         return _limit_free_shift(phi, f, cfg)
-    total = f
-    image = f
-    for _ in range(cfg.max_steps):
-        if kind == "fg":
-            image = endo_apply_subgroup(phi, image)
-            bigger = subgroup_sum(total, image)
-        else:
-            image = endo_apply_lattice(phi, image)
-            bigger = lattice_sum(total, image)
+    ops = _ambient_ops(f, phi)
+    chain = islice(pairwise(_trajectory(ops, phi, f)), cfg.max_steps)
+    for total, bigger in chain:
         if bigger == total:
-            return _limit_free_value(phi, total, kind)
-        total = bigger
+            return _limit_free_value(ops, phi, total)
     raise StabilizationError(
         f"trajectory did not saturate within {cfg.max_steps} steps"
     )
 
 
-def _limit_free_value(phi, total, kind):
-    if kind == "fg":
-        image = endo_apply_subgroup(phi, total)
-        over = subgroup_index(total, image)
-        kernel_part = subgroup_intersect(endo_kernel(phi), total).order()
-    else:
-        image = endo_apply_lattice(phi, total)
-        over = lattice_index(total, image)
-        kernel = preimage_in_lattice(
-            phi, RationalLattice.zero(phi.dim), total
-        )
-        kernel_part = 1 if kernel.is_zero() else INFINITE
+def _limit_free_value(ops, phi, total):
+    over = ops.index(total, ops.apply(phi, total))
+    zero = ops.zero(total)
+    kernel_part = ops.index(ops.preimage(phi, zero, total), zero)
     if not (is_finite(over) and is_finite(kernel_part)):
         raise DomainError("limit-free quantities are infinite here")
     return _log_report(Fraction(over, kernel_part), "limit_free")
@@ -528,6 +438,14 @@ def _limit_free_shift(group, gens, cfg):
     raise DomainError("trajectory neither finite nor symbolic")
 
 
+def _cotrajectory_ops(phi, h):
+    if isinstance(phi, ShiftGroup):
+        raise UnsupportedAmbientError(
+            "shift cotrajectories are symbolic; use the cylinder family"
+        )
+    return _ambient_ops(h, phi)
+
+
 def adjoint_cotrajectory(phi, h, n):
     """C_n = H ∩ phi^{-1}(H) ∩ ... ∩ phi^{-n+1}(H), canonical.
 
@@ -538,18 +456,8 @@ def adjoint_cotrajectory(phi, h, n):
     """
     if n < 1:
         raise DomainError("cotrajectory needs n >= 1")
-    kind = _kind(phi, h)
-    if kind == "shift":
-        raise UnsupportedAmbientError(
-            "shift cotrajectories are symbolic; use the cylinder family"
-        )
-    current = h
-    for _ in range(n - 1):
-        if kind == "fg":
-            current = subgroup_intersect(h, endo_preimage_subgroup(phi, current))
-        else:
-            current = preimage_in_lattice(phi, current, h)
-    return current
+    ops = _cotrajectory_ops(phi, h)
+    return next(islice(_cotrajectory(ops, phi, h), n - 1, None))
 
 
 def intrinsic_adjoint_entropy(phi, h, config=None):
@@ -561,33 +469,14 @@ def intrinsic_adjoint_entropy(phi, h, config=None):
     Fraction(5, 1)
     """
     cfg = config or default_config()
-    kind = _kind(phi, h)
-    if kind == "shift":
-        raise UnsupportedAmbientError(
-            "shift cotrajectories are symbolic; use the cylinder family"
-        )
+    ops = _cotrajectory_ops(phi, h)
     if not inert_index(h, phi).inert:
         raise NotInertError("subgroup is not inert under the map")
-    current = h
-    indices = []
-    for _ in range(cfg.max_steps):
-        if kind == "fg":
-            nxt = subgroup_intersect(h, endo_preimage_subgroup(phi, current))
-            step = subgroup_index(current, nxt)
-        else:
-            nxt = preimage_in_lattice(phi, current, h)
-            step = lattice_index(current, nxt)
-        if not is_finite(step):  # pragma: no cover - excluded by inertness
-            raise NotInertError("cotrajectory indices are infinite")
-        current = nxt
-        indices.append(step)
-        if _window_done(indices, cfg.stabilization_window):
-            return _log_report(
-                indices[-1], "cotrajectory", len(indices), heuristic=True
-            )
-    raise StabilizationError(
-        f"cotrajectory indices did not settle within {cfg.max_steps} steps"
-    )
+    steps = (ops.index(a, b) for a, b in pairwise(_cotrajectory(ops, phi, h)))
+    # [C_n : C_{n+1}] <= [H : C_2], finite by inertness; kept as a guard
+    steps = _finite(steps, NotInertError, "cotrajectory indices are infinite")
+    seen = _stabilize(steps, cfg, "cotrajectory indices")
+    return _log_report(seen[-1], "cotrajectory", len(seen), heuristic=True)
 
 
 def h_top_shift(fam, config=None):

@@ -25,12 +25,12 @@ from .abelian import (
     subgroup_intersect,
     subgroup_sum,
 )
-from .base import INFINITE, Infinity, _is_prime, is_finite
+from .base import INFINITE, _is_prime, is_finite
 from .cayley import FiniteGroup
 from .errors import DomainError, StabilizationError, UnsupportedAmbientError
 from .inertia import inert_index, iterated_inert_index
 from .intlinalg import rank as lattice_rank_of_rows
-from .rational import QSpace, RationalEndo, RationalLattice
+from .rational import RationalEndo, RationalLattice
 
 __all__ = [
     "PrimePart",

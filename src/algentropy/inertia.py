@@ -17,6 +17,7 @@ decides by that test and backs every rejection with an explicit witness
 subgroup of infinite strict index.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,13 @@ from .abelian import (
     endo_apply_subgroup,
     endo_invert,
     endo_kernel,
+    endo_preimage_subgroup,
     subgroup_from_generators,
     subgroup_index,
+    subgroup_intersect,
     subgroup_sum,
 )
-from .base import INFINITE, Infinity, is_finite
+from .base import is_finite
 from .cayley import FiniteGroup
 from .errors import (
     AmbientMismatchError,
@@ -41,14 +44,15 @@ from .errors import (
     NotDivisibleError,
     UnsupportedAmbientError,
 )
-from .models import CylinderFamily
 from .rational import (
     QSpace,
     RationalEndo,
     RationalLattice,
     endo_apply_lattice,
     lattice_index,
+    lattice_intersect,
     lattice_sum,
+    preimage_in_lattice,
 )
 
 __all__ = [
@@ -100,18 +104,58 @@ class InertialCertificate:
         return self.kind == "multiplication_integer"
 
 
-def _pair_kind(h, k):
-    if isinstance(h, Subgroup) and isinstance(k, Subgroup):
-        if h.group != k.group:
-            raise AmbientMismatchError("subgroups of different groups")
-        return "fg"
-    if isinstance(h, RationalLattice) and isinstance(k, RationalLattice):
-        if h.ambient_dim != k.ambient_dim:
-            raise AmbientMismatchError("lattices of different ambient dimension")
-        return "lattice"
-    raise UnsupportedAmbientError(
-        f"no containment procedure for {type(h).__name__}/{type(k).__name__}"
-    )
+_AmbientOps = namedtuple("_AmbientOps", "apply sum meet index preimage zero")
+
+
+def _fg_preimage(phi, target, within):
+    return subgroup_intersect(within, endo_preimage_subgroup(phi, target))
+
+
+def _fg_zero(sub):
+    return sub.group.zero_subgroup()
+
+
+def _lattice_zero(lat):
+    return RationalLattice.zero(lat.ambient_dim)
+
+
+def _ambient_ops(h, other):
+    """The exact operations of H's ambient, shared with ``other``.
+
+    ``other`` is a subgroup or an endomorphism of the same ambient: a
+    finitely generated group (``Subgroup``/``Endo``) or Q^n
+    (``RationalLattice``/``RationalEndo``).  The fields are
+    ``apply(phi, H)``, ``sum``, ``meet``, ``index(A, B)`` = [A : A ∩ B],
+    ``preimage(phi, target, within)`` = {v in within : phi v in target}
+    and ``zero(H)``, the zero subgroup of the ambient.  The table is
+    built per call, so a rebinding of these module names (a profiler's
+    wrapper, say) reaches every caller.
+    """
+    if isinstance(h, Subgroup) and isinstance(other, (Subgroup, Endo)):
+        same = h.group == other.group
+        ops = _AmbientOps(
+            endo_apply_subgroup, subgroup_sum, subgroup_intersect,
+            subgroup_index, _fg_preimage, _fg_zero,
+        )
+    elif isinstance(h, RationalLattice) and isinstance(
+        other, (RationalLattice, RationalEndo)
+    ):
+        dim = other.dim if isinstance(other, RationalEndo) else other.ambient_dim
+        same = h.ambient_dim == dim
+        ops = _AmbientOps(
+            endo_apply_lattice, lattice_sum, lattice_intersect,
+            lattice_index, preimage_in_lattice, _lattice_zero,
+        )
+    else:
+        raise UnsupportedAmbientError(
+            f"no exact operations for {type(h).__name__}/{type(other).__name__}"
+        )
+    if not same:
+        raise AmbientMismatchError(
+            f"{type(h).__name__} and {type(other).__name__} live in "
+            "different ambients"
+        )
+    return ops
 
 
 def almost_contained(h, k):
@@ -126,9 +170,7 @@ def almost_contained(h, k):
     >>> almost_contained(Z.full_subgroup(), Z.zero_subgroup())
     False
     """
-    if _pair_kind(h, k) == "fg":
-        return is_finite(subgroup_index(h, k))
-    return is_finite(lattice_index(h, k))
+    return is_finite(_ambient_ops(h, k).index(h, k))
 
 
 def commensurable(h, k):
@@ -148,17 +190,7 @@ def inert_index(h, phi, group=None):
     >>> inert_index(RationalLattice.standard(1), half)
     InertVerdict(inert=True, index=2)
     """
-    if isinstance(h, Subgroup) and isinstance(phi, Endo):
-        if h.group != phi.group:
-            raise AmbientMismatchError("subgroup and endomorphism disagree")
-        image = endo_apply_subgroup(phi, h)
-        index = subgroup_index(image, h)
-    elif isinstance(h, RationalLattice) and isinstance(phi, RationalEndo):
-        if h.ambient_dim != phi.dim:
-            raise AmbientMismatchError("lattice and endomorphism disagree")
-        image = endo_apply_lattice(phi, h)
-        index = lattice_index(image, h)
-    elif isinstance(h, (set, frozenset)):
+    if isinstance(h, (set, frozenset)):
         if not isinstance(group, FiniteGroup):
             raise UnsupportedAmbientError(
                 "finite-group inertness needs the ambient FiniteGroup"
@@ -171,9 +203,8 @@ def inert_index(h, phi, group=None):
         image = frozenset(phi[x] for x in sub)
         index = len(image) // len(image & sub)
     else:
-        raise UnsupportedAmbientError(
-            f"no inertness procedure for {type(h).__name__}"
-        )
+        ops = _ambient_ops(h, phi)
+        index = ops.index(ops.apply(phi, h), h)
     return InertVerdict(is_finite(index), index)
 
 
@@ -202,19 +233,8 @@ def strict_inert_index(h, phi):
     ...                    RationalEndo.scalar(1, Fraction(3, 2)))
     2
     """
-    if isinstance(h, Subgroup) and isinstance(phi, Endo):
-        if h.group != phi.group:
-            raise AmbientMismatchError("subgroup and endomorphism disagree")
-        total = subgroup_sum(h, endo_apply_subgroup(phi, h))
-        return subgroup_index(total, h)
-    if isinstance(h, RationalLattice) and isinstance(phi, RationalEndo):
-        if h.ambient_dim != phi.dim:
-            raise AmbientMismatchError("lattice and endomorphism disagree")
-        total = lattice_sum(h, endo_apply_lattice(phi, h))
-        return lattice_index(total, h)
-    raise UnsupportedAmbientError(
-        f"no additive index procedure for {type(h).__name__}"
-    )
+    ops = _ambient_ops(h, phi)
+    return ops.index(ops.sum(h, ops.apply(phi, h)), h)
 
 
 def _endo_power(phi, k):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .base import INFINITE
 from .errors import AmbientMismatchError, NonInvertibleError
 from . import intlinalg as ila
 from .polynomial import IntPolynomial

@@ -33,12 +33,14 @@ from algentropy.entropy import (
     trajectory,
 )
 from algentropy.errors import (
+    AmbientMismatchError,
     BudgetExceededError,
     DomainError,
     NotInertError,
     StabilizationError,
     UnsupportedAmbientError,
 )
+from algentropy.inertia import almost_contained, inert_index
 from algentropy.models import CylinderFamily, LinearShiftSpace, ShiftGroup
 from algentropy.rational import RationalEndo, RationalLattice
 
@@ -57,6 +59,79 @@ def test_trajectory_values():
     assert len(trajectory(b, b.first_coordinate_copy(), 4)) == 16
     with pytest.raises(DomainError):
         trajectory(phi, RationalLattice.standard(1), 0)
+
+
+def test_trajectory_cap_zero_is_a_cap():
+    b = ShiftGroup(FgAbGroup([2]))
+    with pytest.raises(BudgetExceededError):
+        trajectory(b, b.first_coordinate_copy(), 4, cap=0)
+    assert len(trajectory(b, b.first_coordinate_copy(), 4, cap=16)) == 16
+
+
+def _stabilizing_paths():
+    """(id, call taking a config, expected value) for every window loop;
+    each sequence is constant from its first value on."""
+    z2 = FgAbGroup([], 2)
+    shear = Endo(z2, [[1, 1], [0, 1]])
+    even = subgroup_from_generators(z2, [[2, 0], [0, 2]])
+    finite = FgAbGroup([2, 4])
+    ident = Endo(finite, [[1, 0], [0, 1]])
+    seed = subgroup_from_generators(finite, [[1, 0]])
+    axis = subgroup_from_generators(z2, [[0, 1]])
+    b2, b3 = ShiftGroup(FgAbGroup([2])), ShiftGroup(FgAbGroup([3]))
+    v = LinearShiftSpace(2)
+    std = RationalLattice.standard(1)
+    three_halves = RationalEndo.scalar(1, Fraction(3, 2))
+    fifth = RationalEndo.scalar(1, Fraction(1, 5))
+    return [
+        ("halg-Zn", lambda c: h_alg_stabilized(shear, even, c), 1),
+        ("halg-Qn", lambda c: h_alg_stabilized(three_halves, std, c), 2),
+        ("halg-shift", lambda c: h_alg_stabilized(b2, b2.first_coordinate_copy(), c), 2),
+        ("log_order-finite", lambda c: i_entropy(ident, seed, "log_order", c), 1),
+        ("log_order-shift",
+         lambda c: i_entropy(b3, b3.first_coordinate_copy(), "log_order", c), 3),
+        ("rank", lambda c: i_entropy(Endo(z2, [[1, 0], [0, 1]]), axis, "rank", c), 0),
+        ("dimension", lambda c: i_entropy(v, [v.vector([1])], "dimension", c), 1),
+        ("adjoint", lambda c: intrinsic_adjoint_entropy(fifth, std, c), 5),
+    ]
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize(
+    "call,expected",
+    [pytest.param(call, value, id=name) for name, call, value in _stabilizing_paths()],
+)
+def test_every_stabilizing_path_respects_its_budget(call, expected, window):
+    cfg = replace(default_config(), stabilization_window=window)
+    with pytest.raises(StabilizationError):
+        call(replace(cfg, max_steps=window - 1))
+    report = call(replace(cfg, max_steps=window))
+    assert report.steps_used == window
+    assert report.heuristic
+    if report.log_of is not None:
+        assert report.log_of == expected
+    else:
+        assert report.exact_value == expected
+
+
+def test_mismatched_ambients_raise_ambient_mismatch():
+    z2, z3 = FgAbGroup([], 2), FgAbGroup([], 3)
+    cases = [
+        (Endo(z2, [[2, 0], [0, 1]]), z3.full_subgroup(), z2.full_subgroup()),
+        (RationalEndo.scalar(2, Fraction(1, 2)), RationalLattice.standard(3),
+         RationalLattice.standard(2)),
+    ]
+    for phi, h, other in cases:
+        for call in (
+            lambda: h_alg_stabilized(phi, h),
+            lambda: limit_free_h(phi, h),
+            lambda: inert_index(h, phi),
+            lambda: almost_contained(h, other),
+            lambda: trajectory(phi, h, 1),
+            lambda: adjoint_cotrajectory(phi, h, 1),
+        ):
+            with pytest.raises(AmbientMismatchError):
+                call()
 
 
 def test_bernoulli_stabilization():
