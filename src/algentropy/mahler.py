@@ -6,14 +6,16 @@ as it can be: content and t-powers split off, rational roots extracted,
 cyclotomic factors removed by exact division, square-free splitting by
 Yun's algorithm.  Only the root moduli of the surviving factors are
 numeric, and even there the error bound is rigorous: approximations get
-Weierstrass disks D(z_i, d*|W_i|) whose radii are evaluated in exact
-rational arithmetic (a connected component of m disks contains exactly
-m roots), so the returned interval always contains the true measure.
+Weierstrass disks D(z_i, d*|W_i|) whose radii are bounded in integer
+arithmetic on the exact dyadic values of the points (a connected
+component of m disks contains exactly m roots), so the returned interval
+always contains the true measure.
 
 Two refinement schedules are available ("aberth" over machine complex
 numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
 caller can cross-check one against the other; the certification step is
-shared and exact either way.
+shared and exact either way.  Coefficients too large for a double skip
+the machine stage and start in mpmath.
 """
 
 from __future__ import annotations
@@ -150,49 +152,39 @@ def kronecker_test(f):
 
 
 # ---------------------------------------------------------------------------
-# exact rational helpers for the certification step
+# integer arithmetic for the certification step
 
-def _to_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+# fractional bits of the floor/ceil square-root bounds
+_SQRT_BITS = 100
+
+
+def _dyadic(x):
+    """(m, k) with x == m / 2**k exactly, for a binary64 float or an mpmath mpf."""
     if isinstance(x, float):
-        return Fraction(x)
+        if not math.isfinite(x):
+            raise ValueError("non-finite value cannot be certified")
+        m, q = x.as_integer_ratio()
+        return m, q.bit_length() - 1
     # mpmath mpf: exact binary value from the internal (sign, man, exp, bc)
     sign, man, exp, _ = x._mpf_
     if man == 0 and exp != 0:
         raise ValueError("non-finite value cannot be certified")
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
+    return (-int(man) if sign else int(man)), -exp
 
 
-def _sqrt_bounds(q, bits=100):
-    """(lo, hi) Fractions with lo <= sqrt(q) <= hi, q a Fraction >= 0."""
-    if q < 0:
-        raise ValueError("negative input to sqrt bound")
-    if q == 0:
-        return Fraction(0), Fraction(0)
-    n = (q.numerator << (2 * bits)) // q.denominator
-    r = math.isqrt(n)
-    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+def _sqrt_floor(n, shift):
+    """floor(2**100 * sqrt(n / 2**shift)) for an integer n >= 0."""
+    bits = 2 * _SQRT_BITS - shift
+    return math.isqrt(n << bits if bits >= 0 else n >> -bits)
 
 
-def _abs2(re, im):
-    return re * re + im * im
+def _log_bounds(num, den=1):
+    """Padded float bounds for log(num/den), num and den positive integers.
 
-
-def _eval_complex_exact(coeffs, re, im):
-    """Horner evaluation of an integer polynomial at an exact complex point."""
-    are, aim = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        are, aim = are * re - aim * im + c, are * im + aim * re
-    return are, aim
-
-
-def _log_bounds(q):
-    """Padded float bounds for log of a positive Fraction."""
-    x = math.log(q.numerator) - math.log(q.denominator)
+    The ratio is reduced first, so the bounds depend only on its value.
+    """
+    g = math.gcd(num, den)
+    x = math.log(num // g) - math.log(den // g)
     return x - _LOG_PAD, x + _LOG_PAD
 
 
@@ -208,40 +200,77 @@ class _CertifiedRoots:
         self.ok = ok
 
 
-def _certify(poly, approx, tol):
-    """Exact-arithmetic enclosure of sum(max(0, log|root|)) for ``poly``.
+def _certify(poly, zs, tol):
+    """Exact enclosure of sum(max(0, log|root|)) for ``poly``.
 
-    approx: list of (Fraction re, Fraction im) candidate roots, one per
-    true root (poly must be squarefree).  Returns a _CertifiedRoots with
-    ok=False when the certified interval is wider than tol.
+    zs: candidate roots as Python complex or mpmath mpc numbers, one per
+    true root (poly must be squarefree); a non-finite one raises
+    ValueError.  Each approximation is read as its exact dyadic value and
+    all are scaled by one common 2^e to Gaussian integers z_i = Z_i / 2^e.
+    The Weierstrass radius d*|f(z_i)| / (s * prod_{j != i} |z_i - z_j|)
+    is bounded above with f(z_i) by homogeneous integer Horner,
+    |f(z_i)| <= U_i / 2^100 and |z_i - z_j| >= L_ij / 2^100 from isqrt,
+    so it is the rational d * U_i * 2^(100(d-2)) / (s * prod L_ij); disks
+    overlap by integer cross-multiplication (Neumaier, "Enclosing
+    clusters of zeros of polynomials", J. Comput. Appl. Math. 156, 2003:
+    a connected component of m disks holds exactly m roots).  Returns a
+    _CertifiedRoots with ok=False when the interval is wider than tol.
     """
     d = poly.degree
     s = abs(poly.leading)
-    pts = list(approx)
-    # exactly coincident approximations would zero a Weierstrass
-    # denominator; nudge (the disks theorem holds for any distinct points)
+    parts = [(_dyadic(z.real), _dyadic(z.imag)) for z in zs]
+    e = max(0, max(k for part in parts for _, k in part))
+    pts = [(mr << (e - kr), mi << (e - ki)) for (mr, kr), (mi, ki) in parts]
+    if len(set(pts)) < d:
+        # coincident approximations would zero a Weierstrass denominator:
+        # move repeat i by i units of the finer grid 2^-(e+b), 2^b > d
+        # (the disk theorem holds for any distinct points)
+        b = d.bit_length()
+        e += b
+        seen = set()
+        moved = []
+        for i, p in enumerate(pts):
+            x, y = p[0] << b, p[1] << b
+            moved.append((x + i, y) if p in seen else (x, y))
+            seen.add(p)
+        pts = moved
+    # f(X/2^e) = sum_k a_k X^k 2^(e(d-k)) / 2^(ed)
+    scaled = [c << (e * (d - k)) for k, c in enumerate(poly.coeffs)]
+    dist2 = {}
+    lower = {}
     for i in range(d):
+        x, y = pts[i]
         for j in range(i):
-            if pts[i] == pts[j]:
-                re, im = pts[i]
-                pts[i] = (re + Fraction(1, 10**25 + i), im)
-    radii = []
-    mods = []
-    for i, (re, im) in enumerate(pts):
-        fre, fim = _eval_complex_exact(poly.coeffs, re, im)
-        _, f_ub = _sqrt_bounds(_abs2(fre, fim))
-        denom_lb = Fraction(1)
-        for j, (re2, im2) in enumerate(pts):
-            if i == j:
-                continue
-            lb, _ = _sqrt_bounds(_abs2(re - re2, im - im2))
-            denom_lb *= lb
-        if denom_lb <= 0:
-            return _CertifiedRoots(0.0, 0.0, 0, False)
-        radii.append(d * f_ub / (s * denom_lb))
-        m_lo, m_hi = _sqrt_bounds(_abs2(re, im))
-        mods.append((m_lo, m_hi))
-    # connected components of the disk-overlap graph
+            dx = x - pts[j][0]
+            dy = y - pts[j][1]
+            q = dx * dx + dy * dy
+            dist2[i, j] = q
+            lb = _sqrt_floor(q, 2 * e)
+            if lb == 0:
+                return _CertifiedRoots(0.0, 0.0, 0, False)
+            lower[i, j] = lower[j, i] = lb
+    # radius i = rad_num[i] / rad_den[i]
+    rad_num = []
+    rad_den = []
+    shift = _SQRT_BITS * (d - 2)
+    for i, (x, y) in enumerate(pts):
+        fre, fim = scaled[d], 0
+        for c in reversed(scaled[:d]):
+            fre, fim = fre * x - fim * y + c, fre * y + fim * x
+        f2 = fre * fre + fim * fim
+        num = d * (_sqrt_floor(f2, 2 * e * d) + 1) if f2 else 0
+        den = s
+        for j in range(d):
+            if j != i:
+                den *= lower[i, j]
+        if shift >= 0:
+            num <<= shift
+        else:
+            den <<= -shift
+        rad_num.append(num)
+        rad_den.append(den)
+    # connected components of the disk-overlap graph:
+    # |z_i - z_j|^2 <= (r_i + r_j)^2, cleared of denominators
     parent = list(range(d))
 
     def find(a):
@@ -252,9 +281,9 @@ def _certify(poly, approx, tol):
 
     for i in range(d):
         for j in range(i):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            if _abs2(dx, dy) <= (radii[i] + radii[j]) ** 2:
+            dd = rad_den[i] * rad_den[j]
+            reach = rad_num[i] * rad_den[j] + rad_num[j] * rad_den[i]
+            if dist2[i, j] * dd * dd <= (reach * reach) << (2 * e):
                 parent[find(i)] = find(j)
     comps = {}
     for i in range(d):
@@ -262,13 +291,27 @@ def _certify(poly, approx, tol):
     total_lo, total_hi = 0.0, 0.0
     outside = 0
     for members in comps.values():
-        lo = min(mods[i][0] - radii[i] for i in members)
-        hi = max(mods[i][1] + radii[i] for i in members)
+        # lo = min(|z_i| - r_i), hi = max(|z_i| + r_i), each a ratio
+        # (num, den) over den = rad_den << 100
+        lo = hi = None
+        for i in members:
+            x, y = pts[i]
+            m2 = x * x + y * y
+            m_lo = _sqrt_floor(m2, 2 * e)
+            m_hi = m_lo + 1 if m2 else 0
+            rn, rd = rad_num[i] << _SQRT_BITS, rad_den[i]
+            den = rd << _SQRT_BITS
+            cand_lo = (m_lo * rd - rn, den)
+            cand_hi = (m_hi * rd + rn, den)
+            if lo is None or cand_lo[0] * lo[1] < lo[0] * cand_lo[1]:
+                lo = cand_lo
+            if hi is None or cand_hi[0] * hi[1] > hi[0] * cand_hi[1]:
+                hi = cand_hi
         n = len(members)
-        if hi > 1:
-            total_hi += n * max(0.0, _log_bounds(hi)[1])
-        if lo > 1:
-            total_lo += n * max(0.0, _log_bounds(lo)[0])
+        if hi[0] > hi[1]:
+            total_hi += n * max(0.0, _log_bounds(*hi)[1])
+        if lo[0] > lo[1]:
+            total_lo += n * max(0.0, _log_bounds(*lo)[0])
             outside += n
     if total_hi - total_lo > tol:
         return _CertifiedRoots(total_lo, total_hi, outside, False)
@@ -352,12 +395,17 @@ def _initial_roots(poly):
 
 
 def _circle_starts(poly, ctx):
+    # the Cauchy bound and the start points are rounded to 53 bits, as in
+    # binary64 arithmetic, but mpmath's exponent range takes coefficients
+    # of any size
     d = poly.degree
-    bound = 1 + max(abs(c) for c in poly.coeffs[:-1]) / abs(poly.leading)
+    ratio = ctx.fdiv(max(abs(c) for c in poly.coeffs[:-1]), abs(poly.leading), prec=53)
+    bound = ctx.fadd(1, ratio, prec=53)
     zs = []
     for k in range(d):
         theta = 2 * math.pi * (k + 0.3141) / d
-        zs.append(ctx.mpc(bound * math.cos(theta), bound * math.sin(theta)))
+        zs.append(ctx.mpc(ctx.fmul(bound, math.cos(theta), prec=53),
+                          ctx.fmul(bound, math.sin(theta), prec=53)))
     return zs
 
 
@@ -366,28 +414,27 @@ def _enclose_factor(poly, tol, schedule, budget):
     import mpmath
 
     iters_left = budget
+    seeds = None
     if schedule == "aberth":
-        zs = _initial_roots(poly)
-        dcoeffs = [i * c for i, c in enumerate(poly.coeffs)][1:]
-        zs, used = _aberth_sweep(
-            [complex(c) for c in poly.coeffs],
-            [complex(c) for c in dcoeffs],
-            zs,
-            min(60, iters_left),
-            1e-15,
-        )
-        iters_left -= used
         try:
-            approx = [(_to_fraction(z.real), _to_fraction(z.imag)) for z in zs]
-            cert = _certify(poly, approx, tol)
-        except (ValueError, OverflowError):
-            cert = None  # overflow/nan in the double sweep: escalate
-        if cert is not None and cert.ok:
-            return cert
-        seeds = zs if all(_is_finite_complex(z) for z in zs) else None
-    elif schedule == "durand_kerner":
-        seeds = None
-    else:
+            coeffs = [complex(c) for c in poly.coeffs]
+            dcoeffs = [complex(i * c) for i, c in enumerate(poly.coeffs)][1:]
+        except OverflowError:
+            coeffs = None  # beyond binary64: skip the double stage
+        if coeffs is not None:
+            zs, used = _aberth_sweep(
+                coeffs, dcoeffs, _initial_roots(poly), min(60, iters_left), 1e-15
+            )
+            iters_left -= used
+            try:
+                cert = _certify(poly, zs, tol)
+            except ValueError:
+                cert = None  # inf/nan in the double sweep: escalate
+            if cert is not None and cert.ok:
+                return cert
+            if all(_is_finite_complex(z) for z in zs):
+                seeds = zs
+    elif schedule != "durand_kerner":
         raise ValueError(f"unknown schedule {schedule!r}")
     dps = 40
     while iters_left > 0 and dps <= 1300:
@@ -404,8 +451,7 @@ def _enclose_factor(poly, tol, schedule, budget):
             else:
                 zs, used = _weierstrass_sweep(coeffs, zs, min(80, iters_left), stop)
             iters_left -= used
-            approx = [(_to_fraction(z.real), _to_fraction(z.imag)) for z in zs]
-        cert = _certify(poly, approx, tol)
+        cert = _certify(poly, zs, tol)
         if cert.ok:
             return cert
         seeds = zs
@@ -476,7 +522,7 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
         # the factor's own leading coefficient is part of its measure
         s = abs(factor.leading)
         if s > 1:
-            l_lo, l_hi = _log_bounds(Fraction(s))
+            l_lo, l_hi = _log_bounds(s)
             total_lo += mult * l_lo
             total_hi += mult * l_hi
         cert = _enclose_factor(factor, tol / (2 * len(numeric) * mult), schedule, budget)
@@ -484,7 +530,7 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
         total_hi += mult * cert.contrib_hi
         outside += mult * cert.roots_outside
     if exact_q != 1:
-        q_lo, q_hi = _log_bounds(exact_q)
+        q_lo, q_hi = _log_bounds(exact_q.numerator, exact_q.denominator)
         total_lo += q_lo
         total_hi += q_hi
     value = (total_lo + total_hi) / 2
