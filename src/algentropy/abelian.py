@@ -12,6 +12,7 @@ is structural equality.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .base import INFINITE
 from .errors import (
@@ -186,8 +187,7 @@ class GroupElement:
         n = 1
         for c, d in zip(self.coords, g.invariant_factors):
             if c:
-                o = d // _gcd(c, d)
-                n = n * o // _gcd(n, o)
+                n = math.lcm(n, d // math.gcd(c, d))
         return n
 
     def __eq__(self, other):
@@ -202,13 +202,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"{self.coords} in {self.group}"
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _same_group(a, b):

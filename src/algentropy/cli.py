@@ -665,6 +665,8 @@ def _cmd_nonabelian_traj(args, cfg):
     sizes = []
     counts = []
     sub = None
+    if args.n < 0:
+        raise DomainError("step count must be >= 0")
     if args.subgroup is not None:
         sub = frozenset(_as_int(x, "element") for x in _load_json(args.subgroup, "subgroup"))
     for k in range(args.n + 1):

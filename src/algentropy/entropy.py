@@ -177,10 +177,7 @@ def _to_rational_endo(phi):
     if isinstance(phi, RationalEndo):
         return phi
     if isinstance(phi, Endo):
-        block = phi.free_block()
-        return RationalEndo(
-            phi.group.free_rank, [[Fraction(x) for x in row] for row in block]
-        )
+        return RationalEndo(phi.group.free_rank, phi.free_block())
     raise UnsupportedAmbientError(
         f"no matrix extension for {type(phi).__name__}"
     )

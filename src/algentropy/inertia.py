@@ -238,9 +238,7 @@ def strict_inert_index(h, phi):
 
 
 def _endo_power(phi, k):
-    if k >= 0:
-        return phi.power(k)
-    if isinstance(phi, RationalEndo):
+    if k >= 0 or isinstance(phi, RationalEndo):
         return phi.power(k)
     inverse = endo_invert(phi)
     if inverse is None:

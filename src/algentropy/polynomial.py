@@ -288,15 +288,23 @@ def rational_roots(f):
         for q in sorted(_divisors(abs(g.leading))):
             if math.gcd(p, q) != 1:
                 continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
+            for num in (p, -p):
                 mult = 0
-                while g.degree > 0 and g.eval_fraction(cand) == 0:
-                    lin = IntPolynomial([-cand.numerator, cand.denominator])
-                    g = exact_div(g, lin).primitive()
+                while g.degree > 0 and _homogeneous_value(g, num, q) == 0:
+                    g = exact_div(g, IntPolynomial([-num, q])).primitive()
                     mult += 1
                 if mult:
-                    roots.append((cand, mult))
+                    roots.append((Fraction(num, q), mult))
     return roots, g
+
+
+def _homogeneous_value(f, p, q):
+    """q^deg * f(p/q) = sum a_i p^i q^(deg - i), by integer Horner."""
+    acc, q_power = 0, 1
+    for a in reversed(f.coeffs):
+        acc = acc * p + a * q_power
+        q_power *= q
+    return acc
 
 
 def _divisors(n):

@@ -4,10 +4,13 @@ A finitely generated subgroup of Q^n is a lattice L with a well defined
 canonical form: clear denominators with the minimal positive integer
 ``den`` so that ``den * L`` is an integer lattice, and store its Hermite
 normal form.  The pair (den, integer HNF) determines L uniquely, so
-equality is structural.  Endomorphisms of Q^n are arbitrary rational
-matrices acting on coordinate columns; their characteristic polynomials
-are computed exactly (division-free on a denominator-cleared copy, no
-floating point anywhere).
+equality is structural.  An endomorphism of Q^n, a rational matrix
+acting on coordinate columns, is stored the same way: the least ``den``
+and the integer matrix ``den * M``.  Products, determinants, inverses,
+images, preimages and characteristic polynomials all run on these
+integer matrices through ``intlinalg``; ``Fraction`` appears only where
+values enter or leave (``from_rows``, ``basis``, ``matrix``,
+``apply_vector``, ``scalar``).
 """
 
 from __future__ import annotations
@@ -89,31 +92,15 @@ class RationalLattice:
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
-        for row in rows:
+        den, scaled = _clear(rows)
+        for row in scaled:
             if len(row) != ambient_dim:
                 raise ValueError(f"rows must have length {ambient_dim}")
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        scaled = [tuple(int(x * den) for x in row) for row in rows]
         return cls._from_scaled(ambient_dim, den, ila.hnf(scaled))
 
     @classmethod
     def _from_scaled(cls, ambient_dim, den, hnf_rows):
-        # minimality: den and the matrix content must be coprime
-        if hnf_rows:
-            g = den
-            for row in hnf_rows:
-                for x in row:
-                    g = math.gcd(g, x)
-            if g > 1:
-                den //= g
-                hnf_rows = tuple(tuple(x // g for x in row) for row in hnf_rows)
-        else:
-            den = 1
-        return cls(ambient_dim, den, hnf_rows)
+        return cls(ambient_dim, *_lowest_terms(den, hnf_rows))
 
     @classmethod
     def standard(cls, n):
@@ -136,14 +123,17 @@ class RationalLattice:
         return not self.mat
 
     def contains(self, vector):
-        v = [Fraction(x) * self.den for x in vector]
-        if any(x.denominator != 1 for x in v):
+        _same_length(vector, self.ambient_dim)
+        vden, (w,) = _clear([vector])
+        # den * w / vden is integral iff vden | den, as vden is coprime to w's content
+        if self.den % vden:
             return False
-        return ila.in_lattice([int(x) for x in v], self.mat)
+        return ila.in_lattice([x * (self.den // vden) for x in w], self.mat)
 
     def contains_lattice(self, other):
         _same_dim(self, other)
-        return all(self.contains(row) for row in other.basis)
+        _, ra, rb = _common_scale(self, other)
+        return all(ila.in_lattice(row, ra) for row in rb)
 
     def __eq__(self, other):
         return (
@@ -165,9 +155,34 @@ def _same_dim(a, b):
         raise AmbientMismatchError("lattices live in different ambient dimensions")
 
 
+def _same_length(vector, dim):
+    if len(vector) != dim:
+        raise AmbientMismatchError(f"vector of length {len(vector)} in dimension {dim}")
+
+
+def _clear(rows):
+    """(den, integer rows) with den the least positive integer that
+    makes den * rows integral; den and the rows' content are coprime."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(1, *(x.denominator for row in rows for x in row))
+    return den, tuple(
+        tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
+    )
+
+
+def _lowest_terms(den, rows):
+    """Divide den and the integer rows by their common gcd, so that den
+    is least; no rows, or only zero rows, leave den = 1."""
+    g = math.gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        den //= g
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+    return den, rows
+
+
 def _common_scale(a, b):
     """Integer row sets of a and b over a common denominator."""
-    den = a.den * b.den // math.gcd(a.den, b.den)
+    den = math.lcm(a.den, b.den)
     fa = den // a.den
     fb = den // b.den
     ra = tuple(tuple(x * fa for x in row) for row in a.mat)
@@ -203,16 +218,32 @@ def lattice_index(a, b):
 
 
 class RationalEndo:
-    """Endomorphism of Q^n: a rational matrix acting on coordinate columns."""
+    """Endomorphism of Q^n: the rational matrix mat / den acting on
+    coordinate columns, in canonical (least den, integer mat) form.
 
-    __slots__ = ("dim", "matrix")
+    >>> RationalEndo(2, [[Fraction(1, 2), 0], [1, Fraction(1, 3)]]).mat
+    ((3, 0), (6, 2))
+    """
+
+    __slots__ = ("dim", "den", "mat")
 
     def __init__(self, dim, matrix):
-        mat = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        den, mat = _clear(matrix)
         if len(mat) != dim or any(len(r) != dim for r in mat):
             raise ValueError(f"matrix must be {dim}x{dim}")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "matrix", mat)
+        self._store(int(dim), den, mat)
+
+    @classmethod
+    def _from_scaled(cls, dim, den, mat):
+        """The map mat / den for an integer matrix mat and den >= 1."""
+        endo = cls.__new__(cls)
+        endo._store(dim, *_lowest_terms(den, mat))
+        return endo
+
+    def _store(self, dim, den, mat):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "mat", mat)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalEndo is immutable")
@@ -222,81 +253,74 @@ class RationalEndo:
         q = Fraction(q)
         return cls(dim, [[q if i == j else 0 for j in range(dim)] for i in range(dim)])
 
+    @property
+    def matrix(self):
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.mat)
+
     def apply_vector(self, v):
-        return tuple(
-            sum(a * Fraction(x) for a, x in zip(row, v)) for row in self.matrix
-        )
+        _same_length(v, self.dim)
+        vden, (w,) = _clear([v])
+        return tuple(Fraction(x, self.den * vden) for x in ila.matvec(self.mat, w))
 
     def compose(self, other):
         _same_endo_dim(self, other)
-        bt = list(zip(*other.matrix))
-        return RationalEndo(
-            self.dim,
-            [
-                [sum(x * y for x, y in zip(row, col)) for col in bt]
-                for row in self.matrix
-            ],
+        return RationalEndo._from_scaled(
+            self.dim, self.den * other.den, ila.matmul(self.mat, other.mat)
         )
 
     def __add__(self, other):
         _same_endo_dim(self, other)
-        return RationalEndo(
-            self.dim,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.matrix, other.matrix)],
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = tuple(
+            tuple(fa * a + fb * b for a, b in zip(r1, r2)) for r1, r2 in zip(self.mat, other.mat)
         )
+        return RationalEndo._from_scaled(self.dim, den, rows)
 
     def det(self):
-        return ila._det_fraction([list(row) for row in self.matrix])
+        return Fraction(ila.det_bareiss(self.mat), self.den**self.dim)
 
     def invert(self):
-        if self.det() == 0:
+        """(mat / den)^-1 = den * adj(mat) / det(mat)."""
+        det = ila.det_bareiss(self.mat)
+        if det == 0:
             raise NonInvertibleError("matrix is singular over Q")
-        n = self.dim
-        aug = [
-            list(self.matrix[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for c in range(n):
-            piv = next(i for i in range(c, n) if aug[i][c])
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = Fraction(1) / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        return RationalEndo(n, [row[n:] for row in aug])
+        m, n = self.mat, self.dim
+        scale = self.den if det > 0 else -self.den
+
+        def cofactor(r, c):
+            minor = [row[:c] + row[c + 1:] for k, row in enumerate(m) if k != r]
+            return (-1) ** (r + c) * ila.det_bareiss(minor)
+
+        # entry (i, j) of the adjugate is the (j, i) cofactor
+        adj = tuple(tuple(scale * cofactor(j, i) for j in range(n)) for i in range(n))
+        return RationalEndo._from_scaled(n, abs(det), adj)
 
     def power(self, k):
         """Integer power; negative powers require invertibility."""
         base = self if k >= 0 else self.invert()
         k = abs(k)
-        result = RationalEndo.scalar(self.dim, 1)
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
+        return RationalEndo._from_scaled(self.dim, base.den**k, ila.mat_power(base.mat, k))
 
     def is_scalar(self):
-        m = self.matrix
-        q = m[0][0] if self.dim else Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if m[i][j] != (q if i == j else 0):
-                    return False
-        return True
+        q = self.mat[0][0] if self.dim else 0
+        return all(
+            x == (q if i == j else 0)
+            for i, row in enumerate(self.mat)
+            for j, x in enumerate(row)
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalEndo)
             and self.dim == other.dim
-            and self.matrix == other.matrix
+            and self.den == other.den
+            and self.mat == other.mat
         )
 
     def __hash__(self):
-        return hash((self.dim, self.matrix))
+        return hash((self.dim, self.den, self.mat))
 
     def __repr__(self):
         return f"RationalEndo({self.matrix})"
@@ -308,20 +332,22 @@ def _same_endo_dim(a, b):
 
 
 def endo_apply_lattice(phi, lat):
-    """Image lattice phi(L)."""
+    """Image lattice phi(L): the rows mat @ w over a * den, for each row
+    w of the basis W of L = W / a and phi = mat / den."""
     if phi.dim != lat.ambient_dim:
         raise AmbientMismatchError("endo and lattice dimensions differ")
-    rows = [phi.apply_vector(row) for row in lat.basis]
-    return RationalLattice.from_rows(lat.ambient_dim, rows)
+    image = [ila.matvec(phi.mat, row) for row in lat.mat]
+    return RationalLattice._from_scaled(lat.ambient_dim, lat.den * phi.den, ila.hnf(image))
 
 
 def preimage_in_lattice(phi, target, within):
     """The lattice {v in ``within`` : phi(v) in ``target``}.
 
     Stays finitely generated even when phi is singular, because the
-    kernel directions are cut down by ``within``.  Writing v = x @ W / a
-    for the basis W of ``within``, the membership condition becomes an
-    integer preimage problem for the cleared matrix.
+    kernel directions are cut down by ``within``.  Write v = W^T x / a
+    for the basis W of ``within``, phi = mat / den and ``target`` = T / b.
+    With P = mat @ W^T and g = gcd(b, den * a), the condition on x in Z^k
+    is the integer preimage problem (b / g) P x in (den * a / g) T.
 
     >>> half = RationalEndo.scalar(1, Fraction(1, 2))
     >>> L = preimage_in_lattice(half, RationalLattice.standard(1),
@@ -335,36 +361,13 @@ def preimage_in_lattice(phi, target, within):
         return within
     a, w_rows = within.den, within.mat
     b, t_rows = target.den, target.mat
-    k = len(w_rows)
-    # condition on x in Z^k:  M @ (W^T x) / a  in  (1/b) T-lattice
-    scaled = [
-        [Fraction(b, a) * x for x in row] for row in _matmul_fraction(phi.matrix, _transpose(w_rows))
-    ]
-    c = 1
-    for row in scaled:
-        for x in row:
-            c = c * x.denominator // math.gcd(c, x.denominator)
-    cleared = tuple(
-        tuple(int(x * c) for x in row) for row in scaled
-    )
-    big_target = tuple(tuple(c * x for x in row) for row in t_rows)
-    xs = ila.preimage_lattice(cleared, big_target, k)
-    rows = [
-        [Fraction(x, a) for x in ila.matvec(_transpose(w_rows), xrow)]
-        for xrow in xs
-    ]
-    return RationalLattice.from_rows(within.ambient_dim, rows)
-
-
-def _transpose(rows):
-    return ila.transpose(rows)
-
-
-def _matmul_fraction(a, b):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ] if b else [[] for _ in a]
+    g = math.gcd(b, phi.den * a)
+    fp, ft = b // g, phi.den * a // g
+    image = ila.matmul(phi.mat, ila.transpose(w_rows))
+    cleared = tuple(tuple(fp * x for x in row) for row in image)
+    big_target = tuple(tuple(ft * x for x in row) for row in t_rows)
+    xs = ila.preimage_lattice(cleared, big_target, len(w_rows))
+    return RationalLattice._from_scaled(within.ambient_dim, a, ila.hnf(ila.matmul(xs, w_rows)))
 
 
 def _berkowitz(a):
@@ -398,18 +401,12 @@ def _berkowitz(a):
 def charpoly_primitive(phi):
     """Primitive integer characteristic polynomial of a rational matrix.
 
-    det(tI - M) is computed division-free on the denominator-cleared
-    integer matrix N = c*M, then rescaled: det(tI - M) = c^-n det(ctI - N).
+    det(tI - M) is computed division-free on the integer matrix
+    N = den * M, then rescaled: det(tI - M) = den^-n det(den t I - N).
     The result is the primitive integer polynomial proportional to it
     (content removed, positive leading coefficient).
 
     >>> charpoly_primitive(RationalEndo(1, [[Fraction(3, 2)]])).coeffs
     (-3, 2)
     """
-    c = 1
-    for row in phi.matrix:
-        for x in row:
-            c = c * x.denominator // math.gcd(c, x.denominator)
-    nmat = [[int(x * c) for x in row] for row in phi.matrix]
-    f = IntPolynomial(_berkowitz(nmat))
-    return f.scale_arg(c).primitive()
+    return IntPolynomial(_berkowitz(phi.mat)).scale_arg(phi.den).primitive()

@@ -219,6 +219,11 @@ def test_exit_code_domain_error():
         "nonabelian", "traj", "--order", "6", "--index", "9", "--phi", "[0]", "--subset", "[0]", "--n", "1"
     )
     assert code == 2
+    code, out, err = invoke(
+        "nonabelian", "traj", "--order", "2", "--index", "0", "--phi", "[0,1]", "--subset", "[1]", "--n", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "step count" in err
 
 
 def test_exit_code_budget_error():

@@ -6,6 +6,7 @@ integer combinations of the basis.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algentropy import intlinalg as ila
 from algentropy.errors import AmbientMismatchError, NonInvertibleError
 from algentropy.rational import (
     QSpace,
@@ -117,12 +119,80 @@ def test_charpoly_matches_sympy(mat):
     assert ours.is_primitive()
 
 
-@given(frac_mats)
+@st.composite
+def square_mats(draw, n=None):
+    """n x n rational matrices, n = 1..4 unless given; a third of them
+    made singular by replacing the last row with a multiple of the first."""
+    if n is None:
+        n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        c = draw(fracs)
+        rows[-1] = [c * x for x in rows[0]]
+    return rows
+
+
+def lattices(n):
+    rows = st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=0, max_size=n + 1)
+    return rows.map(lambda r: RationalLattice.from_rows(n, r))
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+@given(square_mats())
 def test_det_and_charpoly_constant_agree(mat):
-    phi = RationalEndo(2, mat)
+    n = len(mat)
+    phi = RationalEndo(n, mat)
     f = charpoly_primitive(phi)
-    # f(0) = leading * det(-M) = leading * det(M) in even dimension
-    assert Fraction(f.constant, f.leading) == phi.det()
+    # f(0) = leading * det(-M) = leading * (-1)^n det(M)
+    assert Fraction(f.constant, f.leading) == (-1) ** n * phi.det()
+    assert phi.det() == Fraction(str(sympy_matrix(phi.matrix).det()))
+
+
+@given(square_mats())
+def test_invert_matches_sympy(mat):
+    n = len(mat)
+    phi = RationalEndo(n, mat)
+    m = sympy_matrix(phi.matrix)
+    if m.det() == 0:
+        with pytest.raises(NonInvertibleError):
+            phi.invert()
+        return
+    inv = m.inv()
+    expected = [[Fraction(str(inv[i, j])) for j in range(n)] for i in range(n)]
+    assert phi.invert() == RationalEndo(n, expected)
+    assert phi.compose(phi.invert()) == RationalEndo.scalar(n, 1)
+
+
+def _matmul_fraction(a, b):
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ] if b else [[] for _ in a]
+
+
+def _least_den(rows):
+    return math.lcm(1, *(x.denominator for row in rows for x in row))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(square_mats(n), square_mats(n))))
+def test_endo_arithmetic_is_exact_and_canonical(mats):
+    mat, other = mats
+    n = len(mat)
+    phi, psi = RationalEndo(n, mat), RationalEndo(n, other)
+    f, g = phi.matrix, psi.matrix
+    assert (phi + psi).matrix == tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(f, g))
+    assert phi.compose(psi).matrix == tuple(map(tuple, _matmul_fraction(f, g)))
+    results = [phi, phi.compose(psi), phi + psi, phi.power(3), RationalEndo.scalar(n, mat[0][0])]
+    if phi.det():
+        results.append(phi.power(-2))
+    for r in results:
+        assert r.den == _least_den(r.matrix)
+        assert r.mat == tuple(tuple(int(x * r.den) for x in row) for row in r.matrix)
+        assert RationalEndo(n, r.matrix) == r
+        assert hash(RationalEndo(n, r.matrix)) == hash(r)
 
 
 def test_scalar_and_power():
@@ -174,3 +244,56 @@ def test_preimage_of_zero_is_kernel_slice():
     proj = RationalEndo(2, [[1, 0], [0, 0]])
     pre = preimage_in_lattice(proj, RationalLattice.zero(2), RationalLattice.standard(2))
     assert pre == RationalLattice.from_rows(2, [[0, 1]])
+
+
+def fraction_apply_lattice(phi, lat):
+    """phi(L) by Fraction arithmetic: each basis vector mapped by phi.matrix."""
+    rows = [[sum(a * x for a, x in zip(mrow, row)) for mrow in phi.matrix] for row in lat.basis]
+    return RationalLattice.from_rows(lat.ambient_dim, rows)
+
+
+def fraction_preimage(phi, target, within):
+    """{v in within : phi(v) in target}, clearing the denominators of
+    (b / a) M W^T by their lcm, for within = W / a and target = T / b."""
+    if within.is_zero():
+        return within
+    a, w_rows = within.den, within.mat
+    b, t_rows = target.den, target.mat
+    wt = ila.transpose(w_rows)
+    scaled = [[Fraction(b, a) * x for x in row] for row in _matmul_fraction(phi.matrix, wt)]
+    c = _least_den(scaled)
+    cleared = tuple(tuple(int(x * c) for x in row) for row in scaled)
+    big_target = tuple(tuple(c * x for x in row) for row in t_rows)
+    xs = ila.preimage_lattice(cleared, big_target, len(w_rows))
+    rows = [[Fraction(x, a) for x in ila.matvec(wt, xrow)] for xrow in xs]
+    return RationalLattice.from_rows(within.ambient_dim, rows)
+
+
+@st.composite
+def map_and_lattices(draw):
+    mat = draw(square_mats())
+    n = len(mat)
+    return RationalEndo(n, mat), draw(lattices(n)), draw(lattices(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_and_lattices())
+def test_image_and_preimage_match_fraction_oracles(case):
+    phi, target, within = case
+    assert endo_apply_lattice(phi, within) == fraction_apply_lattice(phi, within)
+    assert endo_apply_lattice(phi, target) == fraction_apply_lattice(phi, target)
+    assert preimage_in_lattice(phi, target, within) == fraction_preimage(phi, target, within)
+
+
+def test_vector_length_must_match_dimension():
+    lat = RationalLattice.standard(2)
+    with pytest.raises(AmbientMismatchError):
+        lat.contains([1, 0, 5])
+    with pytest.raises(AmbientMismatchError):
+        lat.contains([1])
+    with pytest.raises(AmbientMismatchError):
+        RationalEndo.scalar(2, 1).apply_vector([1])
+    with pytest.raises(AmbientMismatchError):
+        RationalEndo.scalar(2, 1).apply_vector([1, 2, 3])
+    assert lat.contains([1, 0])
+    assert RationalEndo.scalar(2, Fraction(1, 2)).apply_vector([1, 3]) == (Fraction(1, 2), Fraction(3, 2))
