@@ -6,6 +6,8 @@ dedicated marker (instead of ``math.inf`` or ``None``) preserves exactness:
 nothing in the library ever rounds an index through a float.
 """
 
+from .errors import BudgetExceededError
+
 __all__ = ["Infinity", "INFINITE", "is_finite"]
 
 
@@ -82,3 +84,29 @@ def _is_prime(n):
             return False
         d += 1
     return True
+
+
+def setwise_trajectory(seed, apply, op, cap):
+    """T_1 = seed, T_2, ... with T_{n+1} = {op(a, b) : a in T_n, b in phi^n(seed)}.
+
+    ``apply`` is phi on one element.  Each T_n is yielded as a set that
+    the next step replaces; raises once a set passes ``cap`` elements.
+
+    >>> from itertools import islice
+    >>> steps = setwise_trajectory([0, 1], lambda x: 2 * x, lambda a, b: a + b, 9)
+    >>> [sorted(t) for t in islice(steps, 2)]
+    [[0, 1], [0, 1, 2, 3]]
+    """
+    total = set(seed)
+    moving = set(total)
+    while True:
+        if len(total) > cap:
+            raise BudgetExceededError(f"trajectory set exceeded cap {cap}")
+        yield total
+        moving = {apply(x) for x in moving}
+        grown = set()
+        for a in total:
+            grown.update(op(a, b) for b in moving)
+            if len(grown) > cap:
+                break
+        total = grown

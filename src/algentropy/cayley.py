@@ -10,6 +10,7 @@ the group axioms.
 
 import itertools
 
+from .base import setwise_trajectory
 from .errors import DomainError
 
 __all__ = [
@@ -378,22 +379,23 @@ def finite_group_trajectory(group, phi, subset, n):
     >>> sorted(finite_group_trajectory(G, phi, [G.identity], 4))
     [0]
     """
-    if not group.is_endomorphism(phi):
-        raise DomainError("map is not an endomorphism")
     if n < 0:
         raise DomainError("step count must be >= 0")
-    current = frozenset(subset)
-    if not current:
+    steps = _product_trajectory(group, phi, subset)
+    return frozenset(next(itertools.islice(steps, n, None)))
+
+
+def _product_trajectory(group, phi, subset):
+    """T_0 = F, T_1, ... of :func:`finite_group_trajectory`, one pass."""
+    if not group.is_endomorphism(phi):
+        raise DomainError("map is not an endomorphism")
+    seed = frozenset(subset)
+    if not seed:
         raise DomainError("subset must be nonempty")
-    if any(not 0 <= x < group.order for x in current):
+    if any(not 0 <= x < group.order for x in seed):
         raise DomainError("subset element out of range")
-    out = current
-    for _ in range(n):
-        current = frozenset(phi[x] for x in current)
-        out = frozenset(
-            group.mul(a, b) for a in out for b in current
-        )
-    return out
+    # a set of group elements never passes the group order
+    return setwise_trajectory(seed, phi.__getitem__, group.mul, group.order)
 
 
 def minimal_transversal_count(group, subgroup, subset):

@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 from .abelian import (
     Endo,
@@ -37,8 +38,8 @@ from .abelian import (
 from .base import INFINITE
 from .cayley import (
     FiniteGroup,
+    _product_trajectory,
     all_groups_of_order,
-    finite_group_trajectory,
     minimal_transversal_count,
 )
 from .config import default_config
@@ -55,7 +56,7 @@ from .entropy import (
     scale_over_family,
     sumset_growth,
 )
-from .errors import DomainError, ParseError, ResourceError
+from .errors import BudgetExceededError, DomainError, ParseError, ResourceError
 from .fully_inert import (
     GroupDescriptor,
     PrimePart,
@@ -132,19 +133,6 @@ class _Scanner:
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
-
-
-def parse_vector(text):
-    """``[a,b,c]`` or bare ``a,b,c`` with rational entries."""
-    s = _Scanner(text)
-    bracketed = s.take("[")
-    entries = [s.fraction()]
-    while s.take(","):
-        entries.append(s.fraction())
-    if bracketed:
-        s.expect("]")
-    s.done()
-    return entries
 
 
 def parse_matrix(text):
@@ -662,20 +650,17 @@ def _cmd_nonabelian_traj(args, cfg):
     group = _nonabelian_group(args)
     phi = [_as_int(x, "image") for x in _load_json(args.phi, "endomorphism map")]
     subset = [_as_int(x, "element") for x in _load_json(args.subset, "subset")]
-    sizes = []
-    counts = []
     sub = None
     if args.n < 0:
         raise DomainError("step count must be >= 0")
+    if args.n > cfg.max_steps:
+        raise BudgetExceededError(f"{args.n} steps exceed max_steps {cfg.max_steps}")
     if args.subgroup is not None:
         sub = frozenset(_as_int(x, "element") for x in _load_json(args.subgroup, "subgroup"))
-    for k in range(args.n + 1):
-        t_k = finite_group_trajectory(group, phi, subset, k)
-        sizes.append(len(t_k))
-        if sub is not None:
-            counts.append(minimal_transversal_count(group, sub, t_k))
-    out = {"order": str(group.order), "sizes": [str(s) for s in sizes]}
+    sets = list(islice(_product_trajectory(group, phi, subset), args.n + 1))
+    out = {"order": str(group.order), "sizes": [str(len(t)) for t in sets]}
     if sub is not None:
+        counts = [minimal_transversal_count(group, sub, t) for t in sets]
         out["transversal_counts"] = [str(c) for c in counts]
         t = counts[1] if len(counts) > 1 else 1
         out["bound_base"] = str(t)

@@ -33,12 +33,13 @@ models are where nonzero values live.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, pairwise
+from itertools import islice, pairwise
 
 from .abelian import Endo, Subgroup
-from .base import is_finite
+from .base import is_finite, setwise_trajectory
 from .config import default_config
 from .errors import (
     BudgetExceededError,
@@ -53,7 +54,7 @@ from .models import (
     LinearShiftSpace,
     ShiftElement,
     ShiftGroup,
-    shift_trajectory_order,
+    _shift_trajectory,
 )
 from .rational import RationalEndo, RationalLattice, charpoly_primitive
 
@@ -207,11 +208,9 @@ def trajectory(phi, f, n, cap=None):
     if n < 1:
         raise DomainError("trajectory needs n >= 1")
     if isinstance(phi, ShiftGroup):
-        gens = _shift_gens(phi, f)
-        shifted = [g.shifted(i) for i in range(n) for g in gens]
-        if cap is None:
-            cap = default_config().element_cap
-        return phi.closure(shifted, cap=cap)
+        cap = default_config().element_cap if cap is None else cap
+        steps = _shift_trajectory(phi, _shift_gens(phi, f), cap)
+        return frozenset(next(islice(steps, n - 1, None)))
     return next(islice(_trajectory(_ambient_ops(f, phi), phi, f), n - 1, None))
 
 
@@ -246,10 +245,7 @@ def _index_stabilized(phi, h, cfg):
 
 def _shift_stabilized(group, gens, cfg):
     gens = _shift_gens(group, gens)
-    orders = (
-        shift_trajectory_order(group, gens, n, cap=cfg.element_cap)
-        for n in count(1)
-    )
+    orders = map(len, _shift_trajectory(group, gens, cfg.element_cap))
     seen = _stabilize(
         (big // small for small, big in pairwise(orders)), cfg, "index sequence"
     )
@@ -532,17 +528,12 @@ def classify_growth(phi):
 def _sumset_points(phi, points):
     if isinstance(phi, Endo):
         group = phi.group
-        elems = []
-        for p in points:
-            elems.append(p if hasattr(p, "coords") else group.element(p))
+        elems = [p if hasattr(p, "coords") else group.element(p) for p in points]
         if any(e.group != group for e in elems):
             raise DomainError("points must live in the endomorphism's group")
-        zero = group.zero()
-        return elems, phi.apply, (lambda a, b: a + b), zero
+        return elems, phi.apply, group.zero()
     if isinstance(phi, ShiftGroup):
-        elems = _shift_gens(phi, points)
-        zero = phi.zero()
-        return list(elems), (lambda x: x.shifted()), (lambda a, b: a + b), zero
+        return _shift_gens(phi, points), ShiftElement.shifted, phi.zero()
     raise UnsupportedAmbientError(
         f"no sumset procedure for {type(phi).__name__}"
     )
@@ -552,7 +543,8 @@ def sumset_growth(phi, points, n_max, config=None):
     """Exact sizes of the setwise sums T_1, ..., T_{n_max}.
 
     When the seed contains 0 the log-sizes are subadditive; that is
-    asserted on the computed prefix on every run.
+    asserted on the computed prefix on every run.  ``n_max`` may not
+    exceed the session's ``max_steps``.
 
     >>> from .abelian import Endo, FgAbGroup
     >>> Z = FgAbGroup([], 1)
@@ -562,26 +554,20 @@ def sumset_growth(phi, points, n_max, config=None):
     cfg = config or default_config()
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    elems, apply_map, add, zero = _sumset_points(phi, points)
+    if n_max > cfg.max_steps:
+        raise BudgetExceededError(
+            f"{n_max} sumset steps exceed max_steps {cfg.max_steps}"
+        )
+    elems, apply_map, zero = _sumset_points(phi, points)
     if not elems:
         raise DomainError("the seed set must be nonempty")
-    has_zero = zero in elems
-    current = set(elems)
-    moving = list(elems)
-    sizes = [len(current)]
-    for _ in range(n_max - 1):
-        moving = [apply_map(x) for x in moving]
-        current = {add(a, b) for a in current for b in moving}
-        if len(current) > cfg.element_cap:
-            raise BudgetExceededError(
-                f"sumset size exceeded cap {cfg.element_cap}"
-            )
-        sizes.append(len(current))
-    if has_zero:
+    steps = setwise_trajectory(elems, apply_map, operator.add, cfg.element_cap)
+    sizes = tuple(map(len, islice(steps, n_max)))
+    if zero in elems:
         for i in range(1, len(sizes) + 1):
             for j in range(1, len(sizes) + 1 - i):
                 if sizes[i + j - 1] > sizes[i - 1] * sizes[j - 1]:
                     raise AssertionError(
                         "subadditivity violated; trajectory logic is wrong"
                     )  # pragma: no cover - internal consistency
-    return tuple(sizes)
+    return sizes

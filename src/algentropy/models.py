@@ -4,8 +4,9 @@ Finitely generated groups force algebraic entropy to vanish, so the
 interesting dynamics happen on three computable infinite models:
 
 * :class:`ShiftGroup`, the direct sum of countably many copies of a finite
-  abelian cell, carrying the right shift.  Elements are finitely supported,
-  subgroups are materialized by saturation under a hard element cap.
+  abelian cell, carrying the right shift.  Elements are finitely supported;
+  a finite subgroup F is saturated once, and its trajectory grows by
+  setwise sums T_{n+1} = T_n + beta^n(F), under a hard element cap.
 * :class:`LinearShiftSpace`, finitely supported sequences over GF(p) or
   the rationals, where the subadditive invariant is a dimension.
 * :class:`CylinderFamily`, the chain of cylinder subgroups of the full
@@ -14,9 +15,10 @@ interesting dynamics happen on three computable infinite models:
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from .abelian import FgAbGroup
-from .base import _is_prime
+from .base import _is_prime, setwise_trajectory
 from .errors import AmbientMismatchError, BudgetExceededError, DomainError
 
 __all__ = [
@@ -134,18 +136,15 @@ class ShiftGroup:
 
     def _combine(self, a, b, sign):
         # merge two sorted supports, adding coords in the cell
-        cell = self.cell
+        factors = self.cell.invariant_factors
         merged = dict(a.support)
         for pos, coords in b.support:
-            if pos in merged:
-                summed = tuple(
-                    x + sign * y for x, y in zip(merged[pos], coords)
-                )
-            else:
-                summed = tuple(sign * y for y in coords)
-            reduced = cell.element(summed).coords
-            if any(reduced):
-                merged[pos] = reduced
+            old = merged.get(pos, (0,) * len(coords))
+            summed = tuple(
+                (x + sign * y) % d for x, y, d in zip(old, coords, factors)
+            )
+            if any(summed):
+                merged[pos] = summed
             else:
                 merged.pop(pos, None)
         return ShiftElement(self, tuple(sorted(merged.items())))
@@ -174,22 +173,14 @@ class ShiftGroup:
             for h in (g, -g):
                 if not h.is_zero() and h not in steps:
                     steps.append(h)
-        zero = self.zero()
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in steps:
-                    y = x + g
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise BudgetExceededError(
-                                f"subgroup closure exceeded cap {cap}"
-                            )
-                        seen.add(y)
-                        fresh.append(y)
-            frontier = fresh
+        seen = {self.zero()}
+        queue = list(seen)
+        for x in queue:  # the queue grows while it is read
+            fresh = {x + g for g in steps} - seen
+            seen |= fresh
+            queue.extend(fresh)
+            if len(seen) > cap:
+                raise BudgetExceededError(f"subgroup closure exceeded cap {cap}")
         return frozenset(seen)
 
     def __eq__(self, other):
@@ -214,8 +205,15 @@ def shift_trajectory_order(group, generators, n, cap=DEFAULT_ELEMENT_CAP):
     """
     if n <= 0:
         raise DomainError("step count must be positive")
-    shifted = [g.shifted(i) for i in range(n) for g in generators]
-    return len(group.closure(shifted, cap=cap))
+    orders = map(len, _shift_trajectory(group, generators, cap))
+    return next(islice(orders, n - 1, None))
+
+
+def _shift_trajectory(group, generators, cap):
+    """T_1 = F, T_2, ... as element sets, F = <generators>; the setwise
+    sum of two subgroups is their subgroup sum, so each T_n is one."""
+    seed = group.closure(generators, cap=cap)
+    return setwise_trajectory(seed, ShiftElement.shifted, ShiftElement.__add__, cap)
 
 
 class LinearShiftSpace:

@@ -5,7 +5,9 @@ reference implementations here: a full triple loop and a brute table
 comparison on relabelings.
 """
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,32 @@ def test_trajectory_under_identity_is_constant():
     sets = [finite_group_trajectory(g, g.identity_map(), {0, 1}, k) for k in range(5)]
     sizes = [len(s) for s in sets]
     assert sizes == [2, 3, 4, 5, 6]
+
+
+def _brute_trajectory(group, phi, subset, n):
+    # every product f_0 * phi(f_1) * ... * phi^n(f_n) with all f_i in F
+    def power(x, k):
+        for _ in range(k):
+            x = phi[x]
+        return x
+
+    return frozenset(
+        functools.reduce(group.mul, (power(f, k) for k, f in enumerate(picks)))
+        for picks in itertools.product(sorted(set(subset)), repeat=n + 1)
+    )
+
+
+@pytest.mark.parametrize("order", [6, 8])
+def test_finite_group_trajectory_matches_brute_products(order):
+    rng = random.Random(order)
+    for g in all_groups_of_order(order):
+        powers = [tuple(g.power(x, k) for x in g.elements()) for k in range(4)]
+        maps = list(g.automorphisms()) + [m for m in powers if g.is_endomorphism(m)]
+        for phi in maps:
+            subset = rng.sample(range(g.order), rng.randint(1, 3))
+            for n in range(4):
+                want = _brute_trajectory(g, phi, subset, n)
+                assert finite_group_trajectory(g, phi, subset, n) == want, (phi, subset, n)
 
 
 def test_direct_product_orders():

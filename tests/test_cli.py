@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import algentropy
 from algentropy.cli import build_parser, parse_group, parse_matrix, parse_poly, run
 from algentropy.errors import ParseError
 
@@ -224,6 +229,46 @@ def test_exit_code_domain_error():
     )
     assert code == 2 and out == ""
     assert "step count" in err
+
+
+def test_nonabelian_traj_long_run_output():
+    # S3, conjugation by a 3-cycle: the bytes the per-step recomputation gave
+    code, out, _ = invoke(
+        "nonabelian", "traj", "--order", "6", "--index", "0",
+        "--phi", "[0,1,2,5,3,4]", "--subset", "[0,3]", "--subgroup", "[0,3]", "--n", "64",
+    )
+    sizes = ",".join(['"2"', '"4"'] + ['"6"'] * 63)
+    counts = ",".join(['"1"', '"2"'] + ['"3"'] * 63)
+    assert code == 0
+    assert out == (
+        '{"bound_base":"2","bound_holds":true,"order":"6",'
+        f'"sizes":[{sizes}],"transversal_counts":[{counts}]}}\n'
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonabelian", "traj", "--order", "6", "--index", "1", "--phi", "[0,1,2,3,4,5]",
+     "--subset", "[1,2]"],
+    ["growth", "sumset", "--group", "Z", "--matrix", "[[1]]", "--points", "[[0],[1]]"],
+], ids=["nonabelian", "sumset"])
+def test_step_count_beyond_max_steps_is_a_budget_error(argv):
+    # a fresh process, so a step loop that ignores max_steps fails by timeout
+    code = (
+        "import io, sys, time\n"
+        "from algentropy.cli import run\n"
+        "start = time.perf_counter()\n"
+        f"code = run({argv!r} + ['--n', str(10**30)], io.StringIO(), sys.stderr)\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    exit_code, seconds = done.stdout.split()
+    assert exit_code == "3" and "max_steps" in done.stderr
+    assert float(seconds) < 1.0
+    assert invoke(*argv, "--n", "65")[0] == 3
+    assert invoke(*argv, "--n", "65", "--max-steps", "65")[0] == 0
 
 
 def test_exit_code_budget_error():

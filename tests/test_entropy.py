@@ -7,6 +7,7 @@ against max(log a, log b), cotrajectory closed forms against the chain.
 """
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -420,6 +421,24 @@ def test_sumset_growth_validation():
         sumset_growth(Endo(z, [[2]]), [], 3)
     with pytest.raises(DomainError):
         sumset_growth(Endo(z, [[2]]), [[0]], 0)
+
+
+def test_sumset_growth_steps_capped_by_max_steps():
+    z = FgAbGroup([], 1)
+    cfg = replace(default_config(), max_steps=8)
+    assert len(sumset_growth(Endo(z, [[1]]), [[0], [1]], 8, config=cfg)) == 8
+    with pytest.raises(BudgetExceededError):
+        sumset_growth(Endo(z, [[1]]), [[0], [1]], 9, config=cfg)
+
+
+@pytest.mark.parametrize("factors", [[16], [4, 4]], ids=str)
+def test_bernoulli_stabilization_time_regression(factors):
+    # rebuilding each T_n by closing all n shifted generators took 6-11 s here
+    b = ShiftGroup(FgAbGroup(factors))
+    start = time.perf_counter()
+    report = h_alg_stabilized(b, b.first_coordinate_copy())
+    assert time.perf_counter() - start < 3.0
+    assert report.log_of == 16
 
 
 @settings(max_examples=25, deadline=None)

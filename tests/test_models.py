@@ -1,10 +1,16 @@
 """Direct-sum shift groups, linear shift spaces, and cylinder families."""
 
+import random
+from dataclasses import replace
+from itertools import pairwise
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algentropy.abelian import FgAbGroup
+from algentropy.config import default_config
+from algentropy.entropy import h_alg_stabilized, i_entropy, trajectory
 from algentropy.errors import AmbientMismatchError, BudgetExceededError, DomainError
 from algentropy.models import (
     CylinderFamily,
@@ -74,6 +80,75 @@ def test_shift_trajectory_order_doubles_per_step():
     g = ShiftGroup(FgAbGroup([2]))
     gens = list(g.first_coordinate_copy())
     assert [shift_trajectory_order(g, gens, n) for n in (1, 2, 3, 4)] == [2, 4, 8, 16]
+
+
+# The trajectory stream adds one shifted copy of F per step.  The oracle
+# is the from-scratch closure of every shifted generator, one BFS per n.
+
+SHIFT_CELLS = [[m] for m in range(2, 10)] + [[2, 2], [2, 2, 2], [3, 3]]
+ORACLE_CAP = 800
+
+
+def _spread_generators(group, seed, count):
+    """``count`` seeded generators, each supported on 2 or 3 of positions 0..3."""
+    rng = random.Random(seed)
+    factors = group.cell.invariant_factors
+    gens = []
+    for _ in range(count):
+        positions = rng.sample(range(4), rng.randint(2, 3))
+        gens.append(group.element({
+            p: [rng.randrange(1, factors[0])] + [rng.randrange(d) for d in factors[1:]]
+            for p in positions
+        }))
+    return gens
+
+
+def _closure_of_shifts(group, gens, n, cap):
+    return group.closure([g.shifted(i) for i in range(n) for g in gens], cap=cap)
+
+
+def _or_budget(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError:
+        return "over cap"
+
+
+@pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
+def test_shift_trajectory_order_matches_closure_of_shifts(factors):
+    group = ShiftGroup(FgAbGroup(factors))
+    for seed in (0, 1):
+        gens = _spread_generators(group, seed, 1 + seed)
+        for n in range(1, 6):
+            want = _or_budget(_closure_of_shifts, group, gens, n, ORACLE_CAP)
+            got = _or_budget(shift_trajectory_order, group, gens, n, cap=ORACLE_CAP)
+            assert got == (want if want == "over cap" else len(want)), (gens, n)
+
+
+@pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
+def test_shift_trajectory_sets_match_closure_of_shifts(factors):
+    group = ShiftGroup(FgAbGroup(factors))
+    gens = _spread_generators(group, 2, 2)
+    for n in range(1, 4):
+        want = _or_budget(_closure_of_shifts, group, gens, n, ORACLE_CAP)
+        got = _or_budget(trajectory, group, gens, n, cap=ORACLE_CAP)
+        assert got == want, (gens, n)
+
+
+@pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
+def test_shift_stabilization_matches_closure_of_shifts(factors):
+    # one generator keeps |T_4| <= 9^4 and the oracle under a second
+    group = ShiftGroup(FgAbGroup(factors))
+    gens = _spread_generators(group, 3, 1)
+    cfg = replace(default_config(), element_cap=10**4)
+    window = cfg.stabilization_window
+    orders = [len(_closure_of_shifts(group, gens, n, cfg.element_cap)) for n in (1, 2)]
+    seen = [orders[1] // orders[0]]
+    while len(seen) < window or len(set(seen[-window:])) != 1:
+        orders.append(len(_closure_of_shifts(group, gens, len(orders) + 1, cfg.element_cap)))
+        seen = [big // small for small, big in pairwise(orders)]
+    for report in (h_alg_stabilized(group, gens, cfg), i_entropy(group, gens, "log_order", cfg)):
+        assert (report.log_of, report.steps_used) == (seen[-1], len(seen))
 
 
 def test_linear_shift_space_reduce_mod_p():
