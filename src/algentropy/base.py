@@ -86,11 +86,13 @@ def _is_prime(n):
     return True
 
 
-def setwise_trajectory(seed, apply, op, cap):
+def setwise_trajectory(seed, apply, op, cap, subgroup=False):
     """T_1 = seed, T_2, ... with T_{n+1} = {op(a, b) : a in T_n, b in phi^n(seed)}.
 
     ``apply`` is phi on one element.  Each T_n is yielded as a set that
     the next step replaces; raises once a set passes ``cap`` elements.
+    With ``subgroup`` (seed a subgroup, phi a homomorphism, op abelian)
+    each T_n is a subgroup, so a b already in T_{n+1} adds no new coset.
 
     >>> from itertools import islice
     >>> steps = setwise_trajectory([0, 1], lambda x: 2 * x, lambda a, b: a + b, 9)
@@ -105,8 +107,10 @@ def setwise_trajectory(seed, apply, op, cap):
         yield total
         moving = {apply(x) for x in moving}
         grown = set()
-        for a in total:
-            grown.update(op(a, b) for b in moving)
+        for b in moving:
+            if subgroup and b in grown:
+                continue
+            grown.update(op(a, b) for a in total)
             if len(grown) > cap:
                 break
         total = grown

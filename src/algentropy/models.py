@@ -6,7 +6,8 @@ interesting dynamics happen on three computable infinite models:
 * :class:`ShiftGroup`, the direct sum of countably many copies of a finite
   abelian cell, carrying the right shift.  Elements are finitely supported;
   a finite subgroup F is saturated once, and its trajectory grows by
-  setwise sums T_{n+1} = T_n + beta^n(F), under a hard element cap.
+  setwise sums T_{n+1} = T_n + beta^n(F), one coset of T_n per shifted
+  element not yet reached, under a hard element cap.
 * :class:`LinearShiftSpace`, finitely supported sequences over GF(p) or
   the rationals, where the subadditive invariant is a dimension.
 * :class:`CylinderFamily`, the chain of cylinder subgroups of the full
@@ -136,15 +137,18 @@ class ShiftGroup:
 
     def _combine(self, a, b, sign):
         # merge two sorted supports, adding coords in the cell
-        factors = self.cell.invariant_factors
+        cell = self.cell
         merged = dict(a.support)
         for pos, coords in b.support:
-            old = merged.get(pos, (0,) * len(coords))
-            summed = tuple(
-                (x + sign * y) % d for x, y, d in zip(old, coords, factors)
-            )
-            if any(summed):
-                merged[pos] = summed
+            if pos in merged:
+                summed = tuple(
+                    x + sign * y for x, y in zip(merged[pos], coords)
+                )
+            else:
+                summed = tuple(sign * y for y in coords)
+            reduced = cell.element(summed).coords
+            if any(reduced):
+                merged[pos] = reduced
             else:
                 merged.pop(pos, None)
         return ShiftElement(self, tuple(sorted(merged.items())))
@@ -173,14 +177,22 @@ class ShiftGroup:
             for h in (g, -g):
                 if not h.is_zero() and h not in steps:
                     steps.append(h)
-        seen = {self.zero()}
-        queue = list(seen)
-        for x in queue:  # the queue grows while it is read
-            fresh = {x + g for g in steps} - seen
-            seen |= fresh
-            queue.extend(fresh)
-            if len(seen) > cap:
-                raise BudgetExceededError(f"subgroup closure exceeded cap {cap}")
+        zero = self.zero()
+        seen = {zero}
+        frontier = [zero]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g in steps:
+                    y = x + g
+                    if y not in seen:
+                        if len(seen) >= cap:
+                            raise BudgetExceededError(
+                                f"subgroup closure exceeded cap {cap}"
+                            )
+                        seen.add(y)
+                        fresh.append(y)
+            frontier = fresh
         return frozenset(seen)
 
     def __eq__(self, other):
@@ -213,7 +225,9 @@ def _shift_trajectory(group, generators, cap):
     """T_1 = F, T_2, ... as element sets, F = <generators>; the setwise
     sum of two subgroups is their subgroup sum, so each T_n is one."""
     seed = group.closure(generators, cap=cap)
-    return setwise_trajectory(seed, ShiftElement.shifted, ShiftElement.__add__, cap)
+    return setwise_trajectory(
+        seed, ShiftElement.shifted, ShiftElement.__add__, cap, subgroup=True
+    )
 
 
 class LinearShiftSpace:

@@ -433,7 +433,7 @@ def test_sumset_growth_steps_capped_by_max_steps():
 
 @pytest.mark.parametrize("factors", [[16], [4, 4]], ids=str)
 def test_bernoulli_stabilization_time_regression(factors):
-    # rebuilding each T_n by closing all n shifted generators took 6-11 s here
+    # rebuilding each T_n by closing all n shifted generators took 3.5-11 s on a 2-core machine
     b = ShiftGroup(FgAbGroup(factors))
     start = time.perf_counter()
     report = h_alg_stabilized(b, b.first_coordinate_copy())

@@ -1,6 +1,7 @@
 """Direct-sum shift groups, linear shift spaces, and cylinder families."""
 
 import random
+import time
 from dataclasses import replace
 from itertools import pairwise
 
@@ -149,6 +150,18 @@ def test_shift_stabilization_matches_closure_of_shifts(factors):
         seen = [big // small for small, big in pairwise(orders)]
     for report in (h_alg_stabilized(group, gens, cfg), i_entropy(group, gens, "log_order", cfg)):
         assert (report.log_of, report.steps_used) == (seen[-1], len(seen))
+
+
+def test_shift_step_with_seed_over_many_positions_time_regression():
+    # F = <e_0..e_9> shares most of itself with beta(F); adding every
+    # a + b for a in T_n and b in beta^n(F) took about 24 s on a 2-core
+    # machine, adding one coset per new b about 0.2 s
+    group = ShiftGroup(FgAbGroup([2]))
+    gens = [group.element({i: [1]}) for i in range(10)]
+    start = time.perf_counter()
+    orders = [shift_trajectory_order(group, gens, n) for n in (2, 3)]
+    assert time.perf_counter() - start < 3.0
+    assert orders == [2**11, 2**12]
 
 
 def test_linear_shift_space_reduce_mod_p():
