@@ -363,13 +363,17 @@ def i_entropy(phi, seed, plugin, config=None):
 
 
 def _span_dims(space, seed):
-    """dim of seed + shift(seed) + ... + shift^{n-1}(seed), n = 1, 2, ..."""
-    pool = [space.vector(v) for v in seed]
-    moving = list(pool)
+    """dim of seed + shift(seed) + ... + shift^{n-1}(seed), n = 1, 2, ...
+
+    The echelon basis of the span so far is kept, and each step reduces
+    it together with the newly shifted rows only.
+    """
+    moving = [space.vector(v) for v in seed]
+    basis = space.reduce(moving)
     while True:
-        yield space.dim(pool)
+        yield len(basis)
         moving = [space.shift(v) for v in moving]
-        pool.extend(moving)
+        basis = space.reduce(basis + tuple(moving))
 
 
 def _increments_stabilized(sizes, cfg):

@@ -16,6 +16,22 @@ numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
 caller can cross-check one against the other; the certification step is
 shared and exact either way.  Coefficients too large for a double skip
 the machine stage and start in mpmath.
+
+Cheap exact filters keep the exact stages polynomial in the degree
+(Bradford & Davenport, "Effective tests for cyclotomic polynomials",
+ISSAC '88): the cyclotomic peel tries only the orders k with
+phi(k) <= deg g, and builds and divides by Phi_k only when the integer
+Phi_k(2) divides g(2); :func:`kronecker_test` rejects a polynomial that
+is neither palindromic nor anti-palindromic before any split, since
+every product of cyclotomic polynomials is one or the other; and the
+square-free split returns a square-free factor whole after one gcd
+modulo a prime (see :mod:`algentropy.polynomial`).  None of them changes
+an answer.
+
+Each root certified outside the unit circle adds two log paddings
+(``_LOG_PAD``) to the certified width however far the refinement goes,
+so a tolerance below that floor raises IndeterminateMeasureError at the
+first certificate instead of escalating the precision.
 """
 
 from __future__ import annotations
@@ -99,16 +115,78 @@ def cyclotomic_polynomial(n):
     return f
 
 
+# (k, phi(k)) for k = 1, 2, ..., grown on demand
+_TOTIENTS = []
+# degree d -> ((k, phi(k), Phi_k(2)), ...) over the k with phi(k) <= d
+_ORDERS = {}
+
+
+def _prime_factors(k):
+    """The distinct primes dividing k, by trial division."""
+    out = []
+    q = 2
+    while q * q <= k:
+        if k % q == 0:
+            out.append(q)
+            while k % q == 0:
+                k //= q
+        q += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def _phi_at_two(k, primes):
+    """Phi_k(2) = prod_{d | k} (2^d - 1)^mu(k/d), over squarefree k/d."""
+    num = den = 1
+    for mask in range(1 << len(primes)):
+        d, sign = k, 1
+        for i, q in enumerate(primes):
+            if mask >> i & 1:
+                d //= q
+                sign = -sign
+        if sign > 0:
+            num *= (1 << d) - 1
+        else:
+            den *= (1 << d) - 1
+    return num // den
+
+
+def _orders(d):
+    """(k, phi(k), Phi_k(2)) for every k with phi(k) <= d, in increasing k.
+
+    phi(k) >= sqrt(k/2), so such k are at most 2 d^2.
+    """
+    cached = _ORDERS.get(d)
+    if cached is None:
+        for k in range(len(_TOTIENTS) + 1, 2 * d * d + 1):
+            phi = k
+            for q in _prime_factors(k):
+                phi -= phi // q
+            _TOTIENTS.append((k, phi))
+        cached = _ORDERS[d] = tuple(
+            (k, phi, _phi_at_two(k, _prime_factors(k)))
+            for k, phi in _TOTIENTS[: 2 * d * d] if phi <= d
+        )
+    return cached
+
+
 def _peel_cyclotomics(g):
     """Divide out every cyclotomic factor of g (exactly).
 
     Every irreducible cyclotomic factor Phi_k of g has phi(k) <= deg g,
-    and phi(k) >= sqrt(k/2) gives k <= 2 deg(g)^2; the loop bound shrinks
-    as factors come off.  Returns (reduced g, number of roots removed).
+    so only those orders are tried, in increasing k; the bounds shrink as
+    factors come off.  g = Phi_k * q in Z[t] gives g(2) = Phi_k(2) q(2),
+    so Phi_k is built and divided only when Phi_k(2) divides g(2).
+    Returns (reduced g, number of roots removed).
     """
     removed = 0
-    k = 1
-    while g.degree > 0 and k <= 2 * g.degree**2:
+    at_two = _horner(g.coeffs, 2)
+    for k, phi_k, phi_at_two in _orders(g.degree):
+        if g.degree <= 0 or k > 2 * g.degree**2:
+            break
+        if phi_k > g.degree or at_two % phi_at_two:
+            continue
         phi = cyclotomic_polynomial(k)
         while phi.degree <= g.degree:
             try:
@@ -116,7 +194,7 @@ def _peel_cyclotomics(g):
             except ValueError:
                 break
             removed += phi.degree
-        k += 1
+            at_two //= phi_at_two
     return g, removed
 
 
@@ -141,6 +219,10 @@ def kronecker_test(f):
         return g.is_one()
     if g.leading != 1 or abs(g.constant) != 1:
         # a product of cyclotomics is monic with constant term +-1
+        return False
+    if g.coeffs[::-1] not in (g.coeffs, (-g).coeffs):
+        # Phi_1 = t - 1 is anti-palindromic and every other Phi_k is
+        # palindromic, so a product of them is one or the other
         return False
     for factor, _ in squarefree_decomposition(g):
         if factor.leading != 1:
@@ -191,13 +273,15 @@ def _log_bounds(num, den=1):
 class _CertifiedRoots:
     """Outcome of the exact Weierstrass certification of one factor."""
 
-    __slots__ = ("contrib_lo", "contrib_hi", "roots_outside", "ok")
+    __slots__ = ("contrib_lo", "contrib_hi", "roots_outside", "ok", "floor")
 
-    def __init__(self, contrib_lo, contrib_hi, roots_outside, ok):
+    def __init__(self, contrib_lo, contrib_hi, roots_outside, ok, floor=0.0):
         self.contrib_lo = contrib_lo
         self.contrib_hi = contrib_hi
         self.roots_outside = roots_outside
         self.ok = ok
+        # no certificate of the same polynomial can be narrower than this
+        self.floor = floor
 
 
 def _certify(poly, zs, tol):
@@ -290,6 +374,7 @@ def _certify(poly, zs, tol):
         comps.setdefault(find(i), []).append(i)
     total_lo, total_hi = 0.0, 0.0
     outside = 0
+    floor = 0.0
     for members in comps.values():
         # lo = min(|z_i| - r_i), hi = max(|z_i| + r_i), each a ratio
         # (num, den) over den = rad_den << 100
@@ -311,11 +396,16 @@ def _certify(poly, zs, tol):
         if hi[0] > hi[1]:
             total_hi += n * max(0.0, _log_bounds(*hi)[1])
         if lo[0] > lo[1]:
-            total_lo += n * max(0.0, _log_bounds(*lo)[0])
+            log_lo = _log_bounds(*lo)[0]
+            total_lo += n * max(0.0, log_lo)
             outside += n
-    if total_hi - total_lo > tol:
-        return _CertifiedRoots(total_lo, total_hi, outside, False)
-    return _CertifiedRoots(total_lo, total_hi, outside, True)
+            if log_lo >= _LOG_PAD:
+                # these n roots have log-modulus >= 2 pads; any later disk
+                # around one of them adds both pads, or its whole log
+                # modulus plus one pad, to the width
+                floor += 2 * _LOG_PAD * n
+    ok = total_hi - total_lo <= tol
+    return _CertifiedRoots(total_lo, total_hi, outside, ok, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +499,16 @@ def _circle_starts(poly, ctx):
     return zs
 
 
+def _check_floor(poly, cert, tol):
+    """Give up at once when the log padding alone is wider than tol."""
+    if cert.floor > tol:
+        raise IndeterminateMeasureError(
+            f"the log padding of {cert.roots_outside} roots outside the unit "
+            f"circle is wider than the tolerance (degree {poly.degree}, "
+            f"tolerance {tol})"
+        )
+
+
 def _enclose_factor(poly, tol, schedule, budget):
     """Certified enclosure of the root contribution of one squarefree factor."""
     import mpmath
@@ -430,8 +530,10 @@ def _enclose_factor(poly, tol, schedule, budget):
                 cert = _certify(poly, zs, tol)
             except ValueError:
                 cert = None  # inf/nan in the double sweep: escalate
-            if cert is not None and cert.ok:
-                return cert
+            if cert is not None:
+                if cert.ok:
+                    return cert
+                _check_floor(poly, cert, tol)
             if all(_is_finite_complex(z) for z in zs):
                 seeds = zs
     elif schedule != "durand_kerner":
@@ -454,6 +556,7 @@ def _enclose_factor(poly, tol, schedule, budget):
         cert = _certify(poly, zs, tol)
         if cert.ok:
             return cert
+        _check_floor(poly, cert, tol)
         seeds = zs
         dps *= 2
     raise IndeterminateMeasureError(

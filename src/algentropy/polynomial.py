@@ -5,6 +5,12 @@ type :class:`IntPolynomial` is immutable, and every division stays in
 Z[t]: exact division is integer long division, and gcds run the
 primitive pseudo-remainder sequence, so primitive integer polynomials
 are the canonical form used everywhere else in the library.
+
+:func:`squarefree_decomposition` first tests gcd(f, f') modulo the prime
+p = 2^61 - 1.  When p does not divide lc(f), a repeated factor h^2 of f
+over Z stays a repeated factor of nonzero degree mod p, so a unit gcd
+mod p proves f square-free and it is returned whole; only the other
+inputs run Yun's algorithm over Z.
 """
 
 from __future__ import annotations
@@ -248,16 +254,48 @@ def gcd_primitive(f, g):
     return a
 
 
+# a prime near 2^61 makes an accidental common root mod p unlikely
+_SQF_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod(a, b, p):
+    """True when gcd(a, b) is a unit mod the prime p.
+
+    a and b are ascending coefficient lists reduced mod p with nonzero
+    leading entries (Euclid's algorithm over GF(p)).
+    """
+    while b:
+        db, inv = len(b) - 1, pow(b[-1], -1, p)
+        r = list(a)
+        while len(r) > db:
+            c = r.pop() * inv % p
+            if c:
+                off = len(r) - db
+                for i in range(db):
+                    r[off + i] = (r[off + i] - c * b[i]) % p
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(a) == 1
+
+
 def squarefree_decomposition(f):
     """Yun's algorithm: primitive f > 0 as prod_i h_i^i with h_i primitive.
 
     Returns a list of (h_i, i) pairs, squarefree h_i, skipping trivial
     factors.  Requires a primitive input with positive leading term.
+    A square-free f with gcd(f, f') = 1 mod 2^61 - 1 skips Yun's loop.
     """
     if not f.is_primitive():
         raise ValueError("squarefree_decomposition expects a primitive polynomial")
     if f.degree == 0:
         return []
+    p = _SQF_PRIME
+    if f.leading % p:
+        # p does not divide lc(f), so f' mod p keeps degree deg f - 1
+        low = [c % p for c in f.coeffs]
+        if _coprime_mod(low, [i * c % p for i, c in enumerate(low)][1:], p):
+            return [(f, 1)]
     out = []
     g = gcd_primitive(f, f.derivative())
     w = exact_div(f, g)

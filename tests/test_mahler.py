@@ -5,6 +5,7 @@ the library, so agreement within the certified radius is meaningful.
 """
 
 import io
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from algentropy.mahler import (
     mahler_measure,
     small_measure_scan,
 )
-from algentropy.polynomial import IntPolynomial, gcd_primitive
+from algentropy.polynomial import IntPolynomial, exact_div, gcd_primitive
 
 rng = random.Random(11)
 
@@ -132,6 +133,108 @@ def test_kronecker_cold_cache_regression():
     verdict, seconds = done.stdout.split()
     assert verdict == "False"
     assert float(seconds) < 10.0
+
+
+def _cold_call_seconds(expr):
+    """Value and seconds of one call in a fresh interpreter (empty caches)."""
+    code = (
+        "import time\n"
+        "from algentropy.mahler import kronecker_test, mahler_measure\n"
+        "from algentropy.polynomial import IntPolynomial\n"
+        "start = time.perf_counter()\n"
+        f"value = {expr}\n"
+        "print(repr(value), time.perf_counter() - start, sep='\\n')\n"
+    )
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    value, seconds = done.stdout.splitlines()
+    return value, float(seconds)
+
+
+@pytest.mark.parametrize("expr, expected", [
+    # palindromic, so it reaches the cyclotomic peel, and irreducible
+    ("kronecker_test(IntPolynomial([1, 1] + [0] * 18 + [3] + [0] * 18 + [1, 1]))", "False"),
+    ("kronecker_test(IntPolynomial([1] * 41))", "True"),  # Phi_41
+])
+def test_kronecker_degree_40_cold_cache(expr, expected):
+    value, seconds = _cold_call_seconds(expr)
+    assert value == expected
+    assert seconds < 1.0
+
+
+def test_measure_degree_40_cold_cache():
+    # t^40 + t + 1: the peel tries every order k with phi(k) <= 40
+    value, seconds = _cold_call_seconds(
+        "mahler_measure(IntPolynomial([1, 1] + [0] * 38 + [1])).roots_outside")
+    assert value == "26"  # as counted by mpmath.polyroots
+    assert seconds < 1.0
+
+
+def _oracle_peel(g):
+    """The full cyclotomic peel: try Phi_k for every k <= 2 deg(g)^2."""
+    removed = 0
+    k = 1
+    while g.degree > 0 and k <= 2 * g.degree**2:
+        phi = cyclotomic_polynomial(k)
+        while phi.degree <= g.degree:
+            try:
+                g = exact_div(g, phi)
+            except ValueError:
+                break
+            removed += phi.degree
+        k += 1
+    return g, removed
+
+
+# the orders k with phi(k) <= 6; products stay below degree 23, so the
+# full loop's table stays below k = 2 * 22^2
+_SMALL_ORDERS = [k for k in range(1, 19) if cyclotomic_polynomial(k).degree <= 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(_SMALL_ORDERS), max_size=3),
+    st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=3), min_size=1, max_size=2),
+)
+@example([1, 2], [[-2, 1]])   # t - 2 makes g(2) = 0
+@example([3, 3, 6], [[1, 1, 2]])
+def test_peel_matches_full_loop(orders, others):
+    g = IntPolynomial([1])
+    for k in orders:
+        g = g * cyclotomic_polynomial(k)
+    for coeffs in others:
+        g = g * IntPolynomial(coeffs)
+    if g.degree < 1:
+        return
+    assert mahler._peel_cyclotomics(g) == _oracle_peel(g)
+
+
+def _sympy_all_cyclotomic(f):
+    t = sympy.symbols("t")
+    content, factors = sympy.Poly(list(reversed(f.coeffs)), t).factor_list()
+    return content == 1 and all(g.as_expr() == t or g.is_cyclotomic for g, _ in factors)
+
+
+def test_kronecker_matches_sympy_on_small_monic_polynomials():
+    # c06's population to degree 4: every irreducible factor but t is some Phi_n
+    for degree in range(1, 5):
+        for tail in itertools.product(range(-2, 3), repeat=degree):
+            f = IntPolynomial(list(tail) + [1])
+            assert kronecker_test(f) == _sympy_all_cyclotomic(f), f
+
+
+def test_tolerance_below_the_log_padding_fails_fast():
+    # four roots outside the unit circle add at least 8e-12 to the width,
+    # more than the per-factor tolerance 5e-12
+    f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
+    start = time.perf_counter()
+    with pytest.raises(IndeterminateMeasureError):
+        mahler_measure(f, tol=1e-11)
+    assert time.perf_counter() - start < 0.5
+    res = mahler_measure(f, tol=2e-11)
+    assert res.roots_outside == 4 and 2 * res.error_bound <= 2e-11
 
 
 @settings(max_examples=30, deadline=None)

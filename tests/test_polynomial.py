@@ -107,6 +107,45 @@ def test_squarefree_decomposition_reconstructs(a):
         assert sympy.degree(sympy.gcd(to_sympy(factor), to_sympy(factor.derivative()))) <= 0
 
 
+def _sympy_sqf(f):
+    """sympy's square-free split as {(primitive coeffs, multiplicity)}."""
+    _, factors = to_sympy(f).sqf_list()
+    out = set()
+    for g, mult in factors:
+        h = IntPolynomial([int(c) for c in reversed(g.all_coeffs())]).primitive()
+        out.add((h.coeffs, mult))
+    return out
+
+
+small_factors = st.lists(st.integers(-3, 3), min_size=2, max_size=4)
+
+
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=3))
+@example([([2, 1], 1), ([1, (1 << 61) - 1], 2)])  # lc a multiple of 2^61 - 1
+@example([([-1, 1], 3), ([1, 0, 1], 2), ([2, 1, 1], 1)])
+def test_squarefree_decomposition_matches_sympy(parts):
+    f = IntPolynomial([1])
+    for coeffs, mult in parts:
+        for _ in range(mult):
+            f = f * IntPolynomial(coeffs)
+    if f.is_zero() or f.degree < 1:
+        return
+    f = f.primitive()
+    ours = {(h.coeffs, mult) for h, mult in squarefree_decomposition(f)}
+    assert ours == _sympy_sqf(f)
+
+
+def test_squarefree_decomposition_with_lc_a_multiple_of_the_prime():
+    # p = 2^61 - 1 divides lc(f), so the split runs Yun's algorithm
+    p = (1 << 61) - 1
+    square = IntPolynomial([1, 1]) * IntPolynomial([1, 1])
+    twice = IntPolynomial([1, p]) * IntPolynomial([1, p])
+    for f in (twice * IntPolynomial([2, 1]), IntPolynomial([1, p]) * square,
+              IntPolynomial([1, 3, 2 * p])):
+        ours = {(h.coeffs, mult) for h, mult in squarefree_decomposition(f)}
+        assert ours == _sympy_sqf(f)
+
+
 @given(coeff_lists)
 @example([-5, -3, -5, -3, -5])
 @example([-3, 3, 0, -6, -3])
