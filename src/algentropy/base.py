@@ -86,6 +86,21 @@ def _is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def setwise_trajectory(seed, apply, op, cap, subgroup=False):
     """T_1 = seed, T_2, ... with T_{n+1} = {op(a, b) : a in T_n, b in phi^n(seed)}.
 

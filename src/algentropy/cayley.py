@@ -10,7 +10,7 @@ the group axioms.
 
 import itertools
 
-from .base import setwise_trajectory
+from .base import _prime_factors, setwise_trajectory
 from .errors import DomainError
 
 __all__ = [
@@ -426,20 +426,6 @@ def _fingerprint(group):
         len(group.center()),
         derived_orders,
     )
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _extension_table(n_group, beta, z, p):

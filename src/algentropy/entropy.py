@@ -10,12 +10,18 @@ agree bit-exactly.
 Computation paths
 -----------------
 * ``stabilization``: the index sequence a_n = |T_{n+1}/T_n| of a
-  trajectory, run until a configurable window of equal values appears.
-  The sequence is weakly decreasing (each quotient is an epic image of
-  the previous one), but a plateau as long as the window can still drop
-  later (480, 480, 480, then 160 on a 4x4 rational map), so every
-  stabilized value carries a ``heuristic`` flag: no effective
-  stabilization bound is known.
+  trajectory, or the increments of a rank or dimension.  The sequence is
+  weakly decreasing (each quotient is an epic image of the previous
+  one), so it stops, exactly, at its first value equal to a known limit:
+  1 for an index (a_n = 1 gives T_{n+2} = T_{n+1} = T_n; a finitely
+  generated group always gets there), the ``leading_coefficient`` value
+  below when H spans Q^n (the intrinsic Yuzvinski formula: Dikranjan,
+  Giordano Bruno, Salce & Virili, J. Pure Appl. Algebra 219, 2015), 0
+  for a rank increment, and a window state that stops growing on a
+  sequence space.  Shift groups,
+  the adjoint chain and lattices not spanning Q^n stop at a window of
+  equal values instead, flagged ``heuristic``: a plateau as long as the
+  window can still drop later (480, 480, 480, then 160 on a 4x4 map).
 * ``leading_coefficient``: intrinsic entropy as log of the leading
   coefficient of the primitive characteristic polynomial.
 * ``yuzvinski``: full algebraic entropy as the Mahler measure of the
@@ -49,6 +55,7 @@ from .errors import (
     UnsupportedAmbientError,
 )
 from .inertia import _ambient_ops, inert_index, strict_inert_index
+from .intlinalg import hnf, in_lattice
 from .mahler import kronecker_test, mahler_measure
 from .models import (
     LinearShiftSpace,
@@ -133,18 +140,23 @@ def _log_report(q, path, steps=0, heuristic=False, cross=None):
     )
 
 
-def _stabilize(values, cfg, what):
-    """The prefix of ``values`` up to its first window of equal values.
+def _stabilize(values, cfg, what, final=None, window=False):
+    """The prefix of ``values`` up to its stop, and whether the stop is heuristic.
 
-    At most ``cfg.max_steps`` values are drawn; a stream that shows no
-    window of ``cfg.stabilization_window`` equal values by then raises.
+    ``final(value)`` is true on a value the sequence provably keeps from
+    there on: the prefix ends there, exactly.  With ``window`` a run of
+    ``cfg.stabilization_window`` equal values also ends it, heuristically.
+    At most ``cfg.max_steps`` values are drawn; a stream that stops
+    neither way by then raises.
     """
-    window = cfg.stabilization_window
+    size = cfg.stabilization_window
     seen = []
     for value in islice(values, cfg.max_steps):
         seen.append(value)
-        if len(seen) >= window and len(set(seen[-window:])) == 1:
-            return seen
+        if final is not None and final(value):
+            return seen, False
+        if window and len(seen) >= size and len(set(seen[-size:])) == 1:
+            return seen, True
     raise StabilizationError(
         f"{what} did not settle within {cfg.max_steps} steps"
     )
@@ -224,8 +236,8 @@ def h_alg_stabilized(phi, h, config=None):
     >>> from .rational import RationalEndo, RationalLattice
     >>> r = h_alg_stabilized(RationalEndo.scalar(1, Fraction(3, 2)),
     ...                      RationalLattice.standard(1))
-    >>> r.log_of, r.heuristic
-    (Fraction(2, 1), True)
+    >>> r.log_of, r.heuristic, r.steps_used
+    (Fraction(2, 1), False, 1)
     """
     cfg = config or default_config()
     if isinstance(phi, ShiftGroup):
@@ -235,21 +247,35 @@ def h_alg_stabilized(phi, h, config=None):
     return _index_stabilized(phi, h, cfg)
 
 
-def _index_stabilized(phi, h, cfg):
+def _index_steps(phi, h):
+    """a_1, a_2, ... with a_n = |T_{n+1}/T_n|."""
     ops = _ambient_ops(h, phi)
     steps = (ops.index(b, a) for a, b in pairwise(_trajectory(ops, phi, h)))
-    steps = _finite(steps, DomainError, "trajectory left the finite world")
-    seen = _stabilize(steps, cfg, "index sequence")
-    return _log_report(seen[-1], "stabilization", len(seen), heuristic=True)
+    return _finite(steps, DomainError, "trajectory left the finite world")
+
+
+def _index_stabilized(phi, h, cfg):
+    # 1 is final everywhere; a lattice spanning Q^n ends at the lead, and
+    # one that does not span may also end at a window
+    lattice = isinstance(h, RationalLattice)
+    spans = lattice and h.rank() == h.ambient_dim
+    limit = charpoly_primitive(phi).leading if spans else 1
+    window = lattice and not spans
+    seen, heuristic = _stabilize(
+        _index_steps(phi, h), cfg, "index sequence",
+        lambda a: a == limit, window,
+    )
+    return _log_report(seen[-1], "stabilization", len(seen), heuristic)
 
 
 def _shift_stabilized(group, gens, cfg):
     gens = _shift_gens(group, gens)
     orders = map(len, _shift_trajectory(group, gens, cfg.element_cap))
-    seen = _stabilize(
-        (big // small for small, big in pairwise(orders)), cfg, "index sequence"
+    seen, heuristic = _stabilize(
+        (big // small for small, big in pairwise(orders)),
+        cfg, "index sequence", window=True,
     )
-    return _log_report(seen[-1], "stabilization", len(seen), heuristic=True)
+    return _log_report(seen[-1], "stabilization", len(seen), heuristic)
 
 
 def ent(phi, config=None):
@@ -278,8 +304,9 @@ def ent(phi, config=None):
 def intrinsic_entropy(phi, cross_check=False, config=None):
     """log of the leading coefficient of the primitive charpoly.
 
-    With ``cross_check`` the stabilization path runs on the standard
-    lattice and must agree exactly.
+    With ``cross_check`` the index sequence of the standard lattice runs
+    alongside: it agrees only if it reaches the lead within ``max_steps``
+    without going below it.
 
     >>> from .rational import RationalEndo
     >>> intrinsic_entropy(RationalEndo.scalar(1, Fraction(3, 2))).log_of
@@ -289,15 +316,12 @@ def intrinsic_entropy(phi, cross_check=False, config=None):
     lead = charpoly_primitive(rendo).leading
     cross = None
     if cross_check:
-        stab = h_alg_stabilized(
-            rendo, RationalLattice.standard(rendo.dim), config
-        )
-        cross = CrossCheck(
-            path=stab.path,
-            value=stab.value,
-            log_of=stab.log_of,
-            agreement=stab.log_of == Fraction(lead),
-        )
+        steps = _index_steps(rendo, RationalLattice.standard(rendo.dim))
+        for last in islice(steps, (config or default_config()).max_steps):
+            if last <= lead:
+                break
+        cross = CrossCheck("stabilization", _log_value(last), Fraction(last),
+                           agreement=last == lead)
     return _log_report(lead, "leading_coefficient", cross=cross)
 
 
@@ -329,7 +353,7 @@ def i_entropy(phi, seed, plugin, config=None):
     """Entropy for a subadditive invariant: log_order, dimension, rank.
 
     The per-step increments of i(T_n) are non-increasing for these
-    plugins, so the same window rule detects the limit of i(T_n)/n.
+    plugins, so the limit of i(T_n)/n is the increment at the stop.
 
     >>> V = LinearShiftSpace(2)
     >>> i_entropy(V, [V.vector([1])], "dimension").exact_value
@@ -347,7 +371,7 @@ def i_entropy(phi, seed, plugin, config=None):
             raise DomainError("sequence spaces carry dimension-like invariants")
         if plugin == "rank" and phi.p != 0:
             raise DomainError("rank means dimension over the rationals")
-        return _increments_stabilized(_span_dims(phi, seed), cfg)
+        return _space_stabilized(phi, seed, cfg)
     if isinstance(phi, Endo) and isinstance(seed, Subgroup):
         if plugin == "log_order":
             if not is_finite(seed.order()):
@@ -355,35 +379,46 @@ def i_entropy(phi, seed, plugin, config=None):
             return _index_stabilized(phi, seed, cfg)
         if plugin == "rank":
             chain = _trajectory(_ambient_ops(seed, phi), phi, seed)
-            return _increments_stabilized(map(Subgroup.free_rank, chain), cfg)
+            ranks = map(Subgroup.free_rank, chain)
+            seen, _ = _stabilize((b - a for a, b in pairwise(ranks)), cfg,
+                                 "increments", lambda d: d == 0)
+            return _increment_report(seen[-1], len(seen))
         raise DomainError("dimension plugin lives on sequence spaces")
     raise UnsupportedAmbientError(
         f"no invariant procedure for {type(phi).__name__}"
     )
 
 
-def _span_dims(space, seed):
-    """dim of seed + shift(seed) + ... + shift^{n-1}(seed), n = 1, 2, ...
+def _window_states(space, f):
+    """K_1, K_2, ... for T_n = F + shift(F) + ... + shift^{n-1}(F).
 
-    The echelon basis of the span so far is kept, and each step reduces
-    it together with the newly shifted rows only.
+    F is a reduced basis in places [0, m); K_n is the part of T_n in
+    places [n, n + m - 1), shifted back to the start, so the n-th
+    increment of dim T_n is dim(F + K_n) - dim K_n.  K_{n+1} is the part
+    of F + K_n that vanishes at place 0, shifted back one place (K_0 = 0).
+    The K_n grow, and once K_{n+1} = K_n every later one is the same.
     """
-    moving = [space.vector(v) for v in seed]
-    basis = space.reduce(moving)
+    state = ()
     while True:
-        yield len(basis)
-        moving = [space.shift(v) for v in moving]
-        basis = space.reduce(basis + tuple(moving))
+        # in reduced echelon form every row but the first is 0 at place 0
+        state = space.reduce(v[1:] for v in space.reduce(f + state) if not v[0])
+        yield state
 
 
-def _increments_stabilized(sizes, cfg):
-    seen = _stabilize((b - a for a, b in pairwise(sizes)), cfg, "increments")
+def _space_stabilized(space, seed, cfg):
+    f = space.reduce(seed)
+    seen, _ = _stabilize(pairwise(_window_states(space, f)), cfg, "increments",
+                         lambda pair: pair[0] == pair[1])
+    state = seen[-1][0]
+    return _increment_report(space.dim(f + state) - len(state), len(seen))
+
+
+def _increment_report(value, steps):
     return EntropyReport(
-        value=float(seen[-1]),
+        value=float(value),
         path="stabilization",
-        exact_value=Fraction(seen[-1]),
-        steps_used=len(seen),
-        heuristic=True,
+        exact_value=Fraction(value),
+        steps_used=steps,
     )
 
 
@@ -403,15 +438,12 @@ def limit_free_h(phi, f, config=None):
     """
     cfg = config or default_config()
     if isinstance(phi, ShiftGroup):
-        return _limit_free_shift(phi, f, cfg)
+        return _limit_free_shift(phi, f)
     ops = _ambient_ops(f, phi)
-    chain = islice(pairwise(_trajectory(ops, phi, f)), cfg.max_steps)
-    for total, bigger in chain:
-        if bigger == total:
-            return _limit_free_value(ops, phi, total)
-    raise StabilizationError(
-        f"trajectory did not saturate within {cfg.max_steps} steps"
-    )
+    # T_{n+1} = T_n is final: from there T is phi-invariant
+    seen, _ = _stabilize(pairwise(_trajectory(ops, phi, f)), cfg, "trajectory",
+                         lambda pair: pair[0] == pair[1])
+    return _limit_free_value(ops, phi, seen[-1][0])
 
 
 def _limit_free_value(ops, phi, total):
@@ -423,13 +455,29 @@ def _limit_free_value(ops, phi, total):
     return _log_report(Fraction(over, kernel_part), "limit_free")
 
 
-def _limit_free_shift(group, gens, cfg):
+def _limit_free_shift(group, gens):
     gens = _shift_gens(group, gens)
     if all(g.is_zero() for g in gens):
         return _log_report(1, "limit_free")
-    copy = group.closure(group.first_coordinate_copy(), cap=cfg.element_cap)
-    span = group.closure(gens, cap=cfg.element_cap)
-    if copy <= span:
+    # <gens> contains the copy at position 0 iff its integer rows lie in
+    # the lattice of the generators' rows and the cell relations, over
+    # places x cell coordinates; only places that occur get a column block
+    factors = group.cell.invariant_factors
+    width = len(factors)
+    places = {0} | {pos for g in gens for pos, _ in g.support}
+    block = {pos: k * width for k, pos in enumerate(sorted(places))}
+    size = width * len(places)
+
+    def row(elem):
+        out = [0] * size
+        for pos, coords in elem.support:
+            out[block[pos]:block[pos] + width] = coords
+        return out
+
+    relations = [[factors[i % width] if j == i else 0 for j in range(size)]
+                 for i in range(size)]
+    span = hnf([row(g) for g in gens] + relations)
+    if all(in_lattice(row(e), span) for e in group.first_coordinate_copy()):
         # T = the whole direct sum; coker of the shift is one cell, kernel 0
         return _log_report(group.cell.order(), "symbolic_shift")
     raise DomainError("trajectory neither finite nor symbolic")
@@ -472,8 +520,10 @@ def intrinsic_adjoint_entropy(phi, h, config=None):
     steps = (ops.index(a, b) for a, b in pairwise(_cotrajectory(ops, phi, h)))
     # [C_n : C_{n+1}] <= [H : C_2], finite by inertness; kept as a guard
     steps = _finite(steps, NotInertError, "cotrajectory indices are infinite")
-    seen = _stabilize(steps, cfg, "cotrajectory indices")
-    return _log_report(seen[-1], "cotrajectory", len(seen), heuristic=True)
+    seen, heuristic = _stabilize(
+        steps, cfg, "cotrajectory indices", window=True
+    )
+    return _log_report(seen[-1], "cotrajectory", len(seen), heuristic)
 
 
 def h_top_shift(fam, config=None):

@@ -23,7 +23,6 @@ __all__ = [
     "hnf_with_transform",
     "rank",
     "in_lattice",
-    "reduce_mod_lattice",
     "lattice_sum",
     "lattice_intersect",
     "index_in",
@@ -162,11 +161,6 @@ def _reduce_against(v, basis):
 def in_lattice(v, basis):
     """Membership of integer vector ``v`` in the lattice with HNF ``basis``."""
     return not any(_reduce_against(v, basis))
-
-
-def reduce_mod_lattice(v, basis):
-    """Canonical residue of ``v`` modulo the lattice (entries reduced at pivots)."""
-    return tuple(_reduce_against(v, basis))
 
 
 def lattice_sum(a, b):

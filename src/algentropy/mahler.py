@@ -30,8 +30,9 @@ an answer.
 
 Each root certified outside the unit circle adds two log paddings
 (``_LOG_PAD``) to the certified width however far the refinement goes,
-so a tolerance below that floor raises IndeterminateMeasureError at the
-first certificate instead of escalating the precision.
+and its disk adds a positive width of its own, so a tolerance at or
+below that floor raises IndeterminateMeasureError at the first
+certificate instead of escalating the precision.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .base import _prime_factors
 from .config import default_config
 from .errors import DomainError, BudgetExceededError, IndeterminateMeasureError
 from .polynomial import (
@@ -53,7 +55,6 @@ from .polynomial import (
 
 __all__ = [
     "MahlerResult",
-    "primitive_part",
     "kronecker_test",
     "mahler_measure",
     "small_measure_scan",
@@ -86,17 +87,6 @@ class MahlerResult:
     schedule: str
 
 
-def primitive_part(f):
-    """Content removed, leading coefficient positive.
-
-    >>> primitive_part(IntPolynomial([-4, 0, -6])).coeffs
-    (2, 0, 3)
-    """
-    if f.is_zero():
-        raise DomainError("the zero polynomial has no Mahler measure")
-    return f.primitive()
-
-
 _CYCLOTOMIC_CACHE = {}
 
 
@@ -119,21 +109,6 @@ def cyclotomic_polynomial(n):
 _TOTIENTS = []
 # degree d -> ((k, phi(k), Phi_k(2)), ...) over the k with phi(k) <= d
 _ORDERS = {}
-
-
-def _prime_factors(k):
-    """The distinct primes dividing k, by trial division."""
-    out = []
-    q = 2
-    while q * q <= k:
-        if k % q == 0:
-            out.append(q)
-            while k % q == 0:
-                k //= q
-        q += 1
-    if k > 1:
-        out.append(k)
-    return out
 
 
 def _phi_at_two(k, primes):
@@ -273,15 +248,16 @@ def _log_bounds(num, den=1):
 class _CertifiedRoots:
     """Outcome of the exact Weierstrass certification of one factor."""
 
-    __slots__ = ("contrib_lo", "contrib_hi", "roots_outside", "ok", "floor")
+    __slots__ = ("contrib_lo", "contrib_hi", "roots_outside", "ok", "pads")
 
-    def __init__(self, contrib_lo, contrib_hi, roots_outside, ok, floor=0.0):
+    def __init__(self, contrib_lo, contrib_hi, roots_outside, ok, pads=0):
         self.contrib_lo = contrib_lo
         self.contrib_hi = contrib_hi
         self.roots_outside = roots_outside
         self.ok = ok
-        # no certificate of the same polynomial can be narrower than this
-        self.floor = floor
+        # every certificate of the same polynomial is wider than this many
+        # log paddings
+        self.pads = pads
 
 
 def _certify(poly, zs, tol):
@@ -374,7 +350,7 @@ def _certify(poly, zs, tol):
         comps.setdefault(find(i), []).append(i)
     total_lo, total_hi = 0.0, 0.0
     outside = 0
-    floor = 0.0
+    pads = 0
     for members in comps.values():
         # lo = min(|z_i| - r_i), hi = max(|z_i| + r_i), each a ratio
         # (num, den) over den = rad_den << 100
@@ -403,9 +379,9 @@ def _certify(poly, zs, tol):
                 # these n roots have log-modulus >= 2 pads; any later disk
                 # around one of them adds both pads, or its whole log
                 # modulus plus one pad, to the width
-                floor += 2 * _LOG_PAD * n
+                pads += 2 * n
     ok = total_hi - total_lo <= tol
-    return _CertifiedRoots(total_lo, total_hi, outside, ok, floor)
+    return _CertifiedRoots(total_lo, total_hi, outside, ok, pads)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +476,12 @@ def _circle_starts(poly, ctx):
 
 
 def _check_floor(poly, cert, tol):
-    """Give up at once when the log padding alone is wider than tol."""
-    if cert.floor > tol:
+    """Give up at once when the log paddings alone reach tol: in exact
+    arithmetic every later certificate is wider than they are."""
+    if cert.pads * Fraction(_LOG_PAD) >= Fraction(tol):
         raise IndeterminateMeasureError(
             f"the log padding of {cert.roots_outside} roots outside the unit "
-            f"circle is wider than the tolerance (degree {poly.degree}, "
+            f"circle reaches the tolerance (degree {poly.degree}, "
             f"tolerance {tol})"
         )
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,7 +136,9 @@ def test_entropy_subcommands():
     payload = invoke_json("entropy", "ent", "--cell", "Z/2xZ/2")
     assert payload["log_of"] == "4"
     payload = invoke_json("entropy", "stabilized", "--matrix", "[[3/2]]", "--sub", "[[1]]")
-    assert payload["log_of"] == "2" and payload["heuristic"] is True
+    # the index sequence starts at the lead 2: an exact stop at step 1
+    assert payload["log_of"] == "2" and payload["heuristic"] is False
+    assert payload["steps_used"] == "1"
     payload = invoke_json("entropy", "intrinsic", "--matrix", "[[3/2]]", "--cross-check")
     assert payload["log_of"] == "2"
     assert payload["cross_check"]["agreement"] is True
@@ -317,16 +320,41 @@ def test_text_output_mode():
     assert "{" not in out
 
 
+MAP_4X4 = "[[1/2,1,-5/3,2/5],[1,-1/4,1/4,3/2],[-3/4,-3/4,0,0],[-1/2,1,-3/2,0]]"
+IDENTITY_4 = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+
+
 def test_env_and_flag_precedence(monkeypatch):
-    monkeypatch.setenv("ALGENTROPY_MAX_STEPS", "2")
-    code, _, err = invoke("entropy", "stabilized", "--matrix", "[[3/2]]", "--sub", "[[1]]")
-    assert code == 3  # env shrinks the budget below the window
+    # the 4x4 map's index sequence reaches its limit at step 4
+    monkeypatch.setenv("ALGENTROPY_MAX_STEPS", "3")
+    code, _, err = invoke("entropy", "stabilized", "--matrix", MAP_4X4, "--sub", IDENTITY_4)
+    assert code == 3  # env shrinks the budget below the steps needed
     assert "budget error" in err
     code, out, _ = invoke(
-        "entropy", "stabilized", "--matrix", "[[3/2]]", "--sub", "[[1]]", "--max-steps", "16"
+        "entropy", "stabilized", "--matrix", MAP_4X4, "--sub", IDENTITY_4, "--max-steps", "16"
     )
     assert code == 0  # the flag wins over the environment
-    assert json.loads(out)["log_of"] == "2"
+    assert json.loads(out)["log_of"] == "160"
+
+
+def test_intrinsic_cross_check_on_the_4x4_map():
+    # with a window of 3 the index sequence 480, 480, 480, 160 stopped at 480
+    payload = invoke_json("entropy", "intrinsic", "--cross-check", "--matrix", MAP_4X4)
+    assert payload["log_of"] == "160"
+    assert payload["cross_check"]["agreement"] is True
+    assert payload["cross_check"]["log_of"] == "160"
+
+
+def test_limitfree_shift_with_many_positions():
+    gens = json.dumps([{str(i): [1]} for i in range(20)])
+    start = time.perf_counter()
+    payload = invoke_json("entropy", "limitfree", "--cell", "Z/2", "--gens", gens)
+    assert time.perf_counter() - start < 0.5
+    assert payload["log_of"] == "2" and payload["path"] == "symbolic_shift"
+    start = time.perf_counter()
+    code, out, err = invoke("entropy", "limitfree", "--cell", "Z/2", "--gens", '[{"100000":[1]}]')
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and "domain error" in err
 
 
 def test_config_flags_accepted_after_subcommand():

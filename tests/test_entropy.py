@@ -14,10 +14,12 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algentropy.abelian import Endo, FgAbGroup, subgroup_from_generators
+from algentropy import inertia
+from algentropy.abelian import Endo, FgAbGroup, subgroup_from_generators, subgroup_index
 from algentropy.config import default_config
 from algentropy import entropy
 from algentropy.entropy import (
@@ -46,7 +48,7 @@ from algentropy.errors import (
 )
 from algentropy.inertia import almost_contained, inert_index
 from algentropy.models import CylinderFamily, LinearShiftSpace, ShiftGroup
-from algentropy.rational import RationalEndo, RationalLattice
+from algentropy.rational import RationalEndo, RationalLattice, lattice_index
 
 
 def test_trajectory_values():
@@ -72,46 +74,65 @@ def test_trajectory_cap_zero_is_a_cap():
     assert len(trajectory(b, b.first_coordinate_copy(), 4, cap=16)) == 16
 
 
+# the reproduced early stop: 480, 480, 480, then 160 on the standard lattice
+MAP_4X4 = RationalEndo(4, [
+    [Fraction(1, 2), 1, Fraction(-5, 3), Fraction(2, 5)],
+    [1, Fraction(-1, 4), Fraction(1, 4), Fraction(3, 2)],
+    [Fraction(-3, 4), Fraction(-3, 4), 0, 0],
+    [Fraction(-1, 2), 1, Fraction(-3, 2), 0],
+])
+
+
 def _stabilizing_paths():
-    """(id, call taking a config, expected value) for every window loop;
-    each sequence is constant from its first value on."""
+    """(id, call taking a config, expected value, exact stop) for every
+    stabilizing path.  A windowed path (exact stop None) sees a sequence
+    constant from its first value on; an exact path stops at the given
+    position of its first limit value, which is past the first step so
+    a smaller budget must raise."""
     z2 = FgAbGroup([], 2)
-    shear = Endo(z2, [[1, 1], [0, 1]])
-    even = subgroup_from_generators(z2, [[2, 0], [0, 2]])
-    finite = FgAbGroup([2, 4])
-    ident = Endo(finite, [[1, 0], [0, 1]])
-    seed = subgroup_from_generators(finite, [[1, 0]])
-    axis = subgroup_from_generators(z2, [[0, 1]])
+    swap = Endo(z2, [[0, 1], [1, 0]])
+    half = subgroup_from_generators(z2, [[2, 0], [0, 1]])
+    nudge = Endo(z2, [[0, 0], [1, 0]])
+    axis = subgroup_from_generators(z2, [[1, 0]])
+    finite = FgAbGroup([2, 2, 2, 2])
+    nilpotent = Endo(finite, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    seed = subgroup_from_generators(finite, [[1, 0, 0, 0]])
     b2, b3 = ShiftGroup(FgAbGroup([2])), ShiftGroup(FgAbGroup([3]))
     v = LinearShiftSpace(2)
     std = RationalLattice.standard(1)
-    three_halves = RationalEndo.scalar(1, Fraction(3, 2))
     fifth = RationalEndo.scalar(1, Fraction(1, 5))
     return [
-        ("halg-Zn", lambda c: h_alg_stabilized(shear, even, c), 1),
-        ("halg-Qn", lambda c: h_alg_stabilized(three_halves, std, c), 2),
-        ("halg-shift", lambda c: h_alg_stabilized(b2, b2.first_coordinate_copy(), c), 2),
-        ("log_order-finite", lambda c: i_entropy(ident, seed, "log_order", c), 1),
+        # index sequence 2, 1
+        ("halg-Zn", lambda c: h_alg_stabilized(swap, half, c), 1, 2),
+        ("halg-Qn",
+         lambda c: h_alg_stabilized(MAP_4X4, RationalLattice.standard(4), c), 160, 4),
+        ("halg-shift", lambda c: h_alg_stabilized(b2, b2.first_coordinate_copy(), c), 2, None),
+        # index sequence 2, 2, 2, 1: a window of 3 or less stops on the 2s
+        ("log_order-finite", lambda c: i_entropy(nilpotent, seed, "log_order", c), 1, 4),
         ("log_order-shift",
-         lambda c: i_entropy(b3, b3.first_coordinate_copy(), "log_order", c), 3),
-        ("rank", lambda c: i_entropy(Endo(z2, [[1, 0], [0, 1]]), axis, "rank", c), 0),
-        ("dimension", lambda c: i_entropy(v, [v.vector([1])], "dimension", c), 1),
-        ("adjoint", lambda c: intrinsic_adjoint_entropy(fifth, std, c), 5),
+         lambda c: i_entropy(b3, b3.first_coordinate_copy(), "log_order", c), 3, None),
+        # ranks 1, 2, 2
+        ("rank", lambda c: i_entropy(nudge, axis, "rank", c), 0, 2),
+        # K_1 = <(0, 1)> grows to K_2 = K_3 = everything in two places
+        ("dimension", lambda c: i_entropy(v, [[1, 1], [0, 0, 1]], "dimension", c), 1, 2),
+        ("adjoint", lambda c: intrinsic_adjoint_entropy(fifth, std, c), 5, None),
     ]
 
 
 @pytest.mark.parametrize("window", [2, 3, 5])
 @pytest.mark.parametrize(
-    "call,expected",
-    [pytest.param(call, value, id=name) for name, call, value in _stabilizing_paths()],
+    "call,expected,stop",
+    [pytest.param(call, value, stop, id=name)
+     for name, call, value, stop in _stabilizing_paths()],
 )
-def test_every_stabilizing_path_respects_its_budget(call, expected, window):
+def test_every_stabilizing_path_respects_its_budget(call, expected, stop, window):
     cfg = replace(default_config(), stabilization_window=window)
+    steps = window if stop is None else stop
     with pytest.raises(StabilizationError):
-        call(replace(cfg, max_steps=window - 1))
-    report = call(replace(cfg, max_steps=window))
-    assert report.steps_used == window
-    assert report.heuristic
+        call(replace(cfg, max_steps=steps - 1))
+    report = call(replace(cfg, max_steps=steps))
+    assert report.steps_used == steps
+    assert report.heuristic == (stop is None)
     if report.log_of is not None:
         assert report.log_of == expected
     else:
@@ -167,13 +188,10 @@ def test_stabilization_requires_inertness():
 
 
 def test_stabilization_budget():
-    cfg = replace(default_config(), max_steps=2)
+    # the 4x4 map reaches its limit at step 4
+    cfg = replace(default_config(), max_steps=3)
     with pytest.raises(StabilizationError):
-        h_alg_stabilized(
-            RationalEndo.scalar(1, Fraction(3, 2)),
-            RationalLattice.standard(1),
-            config=cfg,
-        )
+        h_alg_stabilized(MAP_4X4, RationalLattice.standard(4), config=cfg)
 
 
 def test_ent_dispatch():
@@ -255,6 +273,15 @@ def test_i_entropy_dimension():
     assert rq.exact_value == 1
 
 
+def _window_dims(space, seed, steps):
+    """dim T_1, ..., dim T_steps read off the window states."""
+    f = space.reduce(seed)
+    dims = [len(f)]
+    for state in islice(entropy._window_states(space, f), steps - 1):
+        dims.append(dims[-1] + space.dim(f + state) - len(state))
+    return dims
+
+
 def _span_dims_from_scratch(space, seed, steps):
     pool = [space.vector(v) for v in seed]
     moving = list(pool)
@@ -273,8 +300,7 @@ def test_span_dims_match_the_pool_reduced_from_scratch(p):
     for _ in range(12):
         seed = [[draw.randint(-3, 3) for _ in range(draw.randint(0, 4))]
                 for _ in range(draw.randint(1, 4))]
-        ours = list(islice(entropy._span_dims(space, seed), 10))
-        assert ours == _span_dims_from_scratch(space, seed, 10)
+        assert _window_dims(space, seed, 10) == _span_dims_from_scratch(space, seed, 10)
 
 
 def test_span_dims_time_regression():
@@ -285,6 +311,183 @@ def test_span_dims_time_regression():
     report = i_entropy(space, [(1, 2, 3), (0, 1, 5), (2, 0, 1)], "dimension", config=cfg)
     assert time.perf_counter() - start < 0.3
     assert report.exact_value == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_sequence_space_stop_matches_the_pooled_reduction(p):
+    space = LinearShiftSpace(p)
+    draw = random.Random(f"stop/{p}")
+    for _ in range(40):
+        seed = [[draw.randint(-3, 3) for _ in range(draw.randint(0, 5))]
+                for _ in range(draw.randint(1, 3))]
+        # the pool of 16 steps against that of 15: seeds have at most 5
+        # places, and the increments settle within that many steps
+        pools = [[[0] * i + v for v in seed for i in range(n)] for n in (15, 16)]
+        report = i_entropy(space, seed, "dimension")
+        assert report.exact_value == space.dim(pools[1]) - space.dim(pools[0])
+        assert report.exact_value == (1 if any(space.vector(v) for v in seed) else 0)
+        assert not report.heuristic
+        # the stop is the first n with K_{n+1} = K_n, within the seed's width
+        states = list(islice(entropy._window_states(space, space.reduce(seed)), 8))
+        first = next(n for n in range(1, 8) if states[n - 1] == states[n])
+        assert report.steps_used == first <= max(map(len, seed), default=0) + 1
+
+
+def _index_sequence(phi, h, steps):
+    """a_1, ..., a_steps from the public trajectory, independently of the stop."""
+    index = lattice_index if isinstance(h, RationalLattice) else subgroup_index
+    chain = [trajectory(phi, h, n) for n in range(1, steps + 2)]
+    return [index(b, a) for a, b in zip(chain, chain[1:])]
+
+
+def _sympy_lead(phi):
+    """Leading coefficient of the primitive integer charpoly, by sympy."""
+    poly = sympy.Matrix(phi.matrix).charpoly(sympy.symbols("t"))
+    _, integral = poly.clear_denoms(convert=True)
+    return abs(integral.primitive()[1].LC())
+
+
+def _random_rational_map(draw, n):
+    return RationalEndo(n, [
+        [Fraction(draw.randint(-5, 5), draw.randint(1, 6)) for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+def test_spanning_lattices_stop_at_the_lead():
+    draw = random.Random("lead")
+    for trial in range(30):
+        n = 2 + trial % 3
+        phi = _random_rational_map(draw, n)
+        lead = _sympy_lead(phi)
+        if trial % 2:
+            h = RationalLattice.from_rows(n, [
+                [draw.randint(-3, 3) + (3 * draw.randint(1, 2) if i == j else 0)
+                 for j in range(n)] for i in range(n)
+            ])
+        else:
+            h = RationalLattice.standard(n)
+        if h.rank() < n:
+            continue
+        report = h_alg_stabilized(phi, h)
+        seq = _index_sequence(phi, h, 12)
+        assert report.log_of == lead == seq[-1]
+        assert not report.heuristic
+        assert report.steps_used == seq.index(lead) + 1
+        assert min(seq) == lead
+
+
+def test_4x4_cross_check_agrees_at_default_settings():
+    report = intrinsic_entropy(MAP_4X4, cross_check=True)
+    assert report.log_of == 160
+    assert report.cross_check.agreement
+    assert report.cross_check.log_of == 160
+    assert _index_sequence(MAP_4X4, RationalLattice.standard(4), 5) == [480, 480, 480, 160, 160]
+    stab = h_alg_stabilized(MAP_4X4, RationalLattice.standard(4))
+    assert (stab.log_of, stab.steps_used, stab.heuristic) == (160, 4, False)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_corrupted_index_breaks_the_cross_check(monkeypatch, delta):
+    original = inertia.lattice_index
+    monkeypatch.setattr(
+        inertia, "lattice_index", lambda a, b: original(a, b) + delta
+    )
+    for phi in (MAP_4X4, RationalEndo.scalar(1, Fraction(3, 2))):
+        report = intrinsic_entropy(phi, cross_check=True)
+        assert report.cross_check.agreement is False
+
+
+def test_non_spanning_lattices_keep_the_window():
+    phi = RationalEndo(2, [[Fraction(3, 2), 0], [0, 5]])
+    axis = RationalLattice.from_rows(2, [[1, 0]])
+    report = h_alg_stabilized(phi, axis)
+    assert (report.log_of, report.steps_used, report.heuristic) == (2, 3, True)
+    # 1 is final on every ambient
+    report = ent(phi)
+    assert (report.log_of, report.steps_used, report.heuristic) == (1, 1, False)
+
+
+def test_finitely_generated_sequences_stop_at_one():
+    draw = random.Random("fg")
+    groups = [FgAbGroup([], 2), FgAbGroup([2], 2), FgAbGroup([3], 1), FgAbGroup([2, 4])]
+    seen = 0
+    for _ in range(200):
+        group = draw.choice(groups)
+        phi = _random_endo(draw, group)
+        h = subgroup_from_generators(group, [
+            [draw.randint(-4, 4) for _ in range(group.dim)] for _ in range(2)
+        ])
+        try:
+            report = h_alg_stabilized(phi, h)
+        except NotInertError:
+            continue
+        seen += 1
+        seq = _index_sequence(phi, h, report.steps_used + 3)
+        assert report.log_of == 1 and not report.heuristic
+        assert report.steps_used == seq.index(1) + 1
+        assert set(seq[report.steps_used - 1:]) == {1}
+        ranks = i_entropy(phi, h, "rank")
+        assert ranks.exact_value == 0 and not ranks.heuristic
+    assert seen > 50
+
+
+def _random_endo(draw, group):
+    """A random endomorphism: columns of torsion generators stay torsion."""
+    ds, k, n = group.invariant_factors, group.torsion_length, group.dim
+    mat = [[draw.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for i in range(k):
+        for j in range(n):
+            mat[j][i] = (
+                mat[j][i] * (ds[j] // math.gcd(ds[i], ds[j])) if j < k else 0
+            )
+    return Endo(group, mat)
+
+
+def test_limit_free_shift_many_positions_time_regression():
+    # closing the seed as an element set took 9 s at 16 positions on a 2-core machine
+    b = ShiftGroup(FgAbGroup([2]))
+    for positions in (20, 40):
+        gens = [b.element({i: [1]}) for i in range(positions)]
+        start = time.perf_counter()
+        report = limit_free_h(b, gens)
+        assert time.perf_counter() - start < 0.5
+        assert report.log_of == 2
+
+
+def test_limit_free_shift_far_positions_time_regression():
+    # a column block per place up to the farthest one took memory and time
+    # quadratic in that place; only the places that occur may count
+    b = ShiftGroup(FgAbGroup([2]))
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        limit_free_h(b, [b.element({100000: [1]})])
+    report = limit_free_h(b, [b.element({0: [1]}), b.element({3000: [1]})])
+    assert report.log_of == 2
+    report = limit_free_h(b, [b.element({0: [1], 100000: [1]}), b.element({100000: [1]})])
+    assert report.log_of == 2
+    assert time.perf_counter() - start < 0.5
+
+
+def test_limit_free_shift_matches_the_closure_criterion():
+    draw = random.Random("limitfree")
+    cells = [[2], [3], [4], [6], [2, 2], [2, 4]]
+    for trial in range(120):
+        cell = FgAbGroup(cells[trial % len(cells)])
+        b = ShiftGroup(cell)
+        gens = [
+            b.element({pos: [draw.randint(0, d - 1) for d in cell.invariant_factors]
+                       for pos in draw.sample([0, 1, 2, 7, 300], draw.randint(1, 3))})
+            for _ in range(draw.randint(1, 3))
+        ]
+        if all(g.is_zero() for g in gens):
+            continue
+        copy = b.closure(b.first_coordinate_copy())
+        if copy <= b.closure(gens):
+            assert limit_free_h(b, gens).log_of == cell.order()
+        else:
+            with pytest.raises(DomainError):
+                limit_free_h(b, gens)
 
 
 def test_i_entropy_log_order():

@@ -6,6 +6,8 @@ sum, intersection, and commensurability, and the maps leaving a fixed
 subgroup inert are closed under addition and composition.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,60 @@ def test_inertial_decision_scalars_and_witnesses():
     assert not cert.inertial
     assert cert.kind == "non_inertial_witness"
     assert strict_inert_index(cert.witness, Endo(z2, [[1, 1], [0, 1]])) == INFINITE
+
+
+def _ladder_witness(phi):
+    """The first cyclic witness on the ladder e_i, e_i +- e_j, e_i + h e_j
+    (h <= 8), found by strict index: what the matrix read-off must return."""
+    group = phi.group
+    rank = group.free_rank
+    ladder = []
+    for i in range(rank):
+        ladder.append({i: 1})
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            ladder += [{i: 1, j: 1}, {i: 1, j: -1}]
+    for height in range(2, 9):
+        ladder += [{i: 1, j: height} for i in range(rank) for j in range(rank) if i != j]
+    for entries in ladder:
+        vec = [entries.get(i, 0) for i in range(rank)]
+        witness = subgroup_from_generators(group, [[0] * group.torsion_length + vec])
+        if not is_finite(strict_inert_index(witness, phi)):
+            return witness
+    return None
+
+
+def _random_endo(draw, group, free_block):
+    """An endomorphism with the given free block; torsion columns stay torsion."""
+    ds, k, n = group.invariant_factors, group.torsion_length, group.dim
+    mat = [[draw.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for i in range(k):
+        for j in range(n):
+            mat[j][i] = mat[j][i] * (ds[j] // math.gcd(ds[i], ds[j])) if j < k else 0
+    for i in range(n - k):
+        for j in range(n - k):
+            mat[k + i][k + j] = free_block[i][j]
+    return Endo(group, mat)
+
+
+def test_witness_matches_the_ladder_on_groups_with_torsion():
+    draw = random.Random("witness")
+    groups = [FgAbGroup([2], 2), FgAbGroup([2, 4], 3), FgAbGroup([3], 1), FgAbGroup([6], 3)]
+    for trial in range(300):
+        group = draw.choice(groups)
+        r = group.free_rank
+        kind = trial % 3
+        # off-diagonal entries, a diagonal block, or a scalar one
+        block = [[draw.randint(-2, 2) if kind == 0 or i == j else 0 for j in range(r)]
+                 for i in range(r)]
+        if kind == 2:
+            block = [[block[0][0] if i == j else 0 for j in range(r)] for i in range(r)]
+        phi = _random_endo(draw, group, block)
+        cert = is_inertial_endomorphism(phi)
+        expected = _ladder_witness(phi)
+        assert cert.inertial == (expected is None)
+        if expected is not None:
+            assert cert.witness == expected
 
 
 def test_every_endo_of_a_finite_group_is_inertial():

@@ -237,6 +237,22 @@ def test_tolerance_below_the_log_padding_fails_fast():
     assert res.roots_outside == 4 and 2 * res.error_bound <= 2e-11
 
 
+def test_tolerance_at_the_log_padding_fails_fast():
+    # per-factor tolerance 8e-12 equals the padding of four roots outside;
+    # escalating through every precision took about 3 s on a 2-core machine
+    f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
+    start = time.perf_counter()
+    try:
+        res = mahler_measure(f, tol=1.6e-11)
+    except IndeterminateMeasureError:
+        pass
+    else:
+        assert 2 * res.error_bound <= 1.6e-11
+    assert time.perf_counter() - start < 0.5
+    res = mahler_measure(f, tol=1.7e-11)
+    assert res.roots_outside == 4 and 2 * res.error_bound <= 1.7e-11
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-5, 5), min_size=2, max_size=7))
 @example([4, 4, 1])
