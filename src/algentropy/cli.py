@@ -681,7 +681,6 @@ def _add_config_flags(parser, leaf=False):
     default = argparse.SUPPRESS if leaf else None
     parser.add_argument("--tolerance", type=float, default=default)
     parser.add_argument("--max-steps", type=int, default=default)
-    parser.add_argument("--window", type=int, default=default)
     parser.add_argument("--element-cap", type=int, default=default)
     parser.add_argument("--output", choices=("json", "text"), default=default)
 
@@ -693,8 +692,6 @@ def _session_config(args):
         overrides["tolerance"] = args.tolerance
     if args.max_steps is not None:
         overrides["max_steps"] = args.max_steps
-    if args.window is not None:
-        overrides["stabilization_window"] = args.window
     if args.element_cap is not None:
         overrides["element_cap"] = args.element_cap
     if args.output is not None:

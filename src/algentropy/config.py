@@ -1,8 +1,9 @@
 """Session-wide numeric and budget knobs.
 
 Defaults match the documented contract: certified tolerance 1e-9,
-stabilization window 3, step cap 64, element cap 10^6.  Environment
-variables override the defaults; explicit CLI flags override both.
+step cap 64, element cap 10^6.  Environment variables override the
+defaults; explicit CLI flags override both.  Every stabilization stops
+at a proven limit; ``max_steps`` only bounds how far it looks for it.
 """
 
 import os
@@ -17,7 +18,6 @@ _ENV_PREFIX = "ALGENTROPY_"
 class SessionConfig:
     tolerance: float = 1e-9
     max_steps: int = 64
-    stabilization_window: int = 3
     element_cap: int = 10**6
     refine_iterations: int = 200
     output_mode: str = "json"
@@ -25,7 +25,7 @@ class SessionConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_steps < 1 or self.stabilization_window < 1:
+        if self.max_steps < 1:
             raise ValueError("step counts must be >= 1")
         if self.output_mode not in ("json", "text"):
             raise ValueError("output_mode must be 'json' or 'text'")
@@ -39,8 +39,6 @@ def default_config():
         kwargs["tolerance"] = float(env[_ENV_PREFIX + "TOLERANCE"])
     if _ENV_PREFIX + "MAX_STEPS" in env:
         kwargs["max_steps"] = int(env[_ENV_PREFIX + "MAX_STEPS"])
-    if _ENV_PREFIX + "WINDOW" in env:
-        kwargs["stabilization_window"] = int(env[_ENV_PREFIX + "WINDOW"])
     if _ENV_PREFIX + "ELEMENT_CAP" in env:
         kwargs["element_cap"] = int(env[_ENV_PREFIX + "ELEMENT_CAP"])
     if _ENV_PREFIX + "REFINE_ITERATIONS" in env:

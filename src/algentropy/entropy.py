@@ -12,16 +12,17 @@ Computation paths
 * ``stabilization``: the index sequence a_n = |T_{n+1}/T_n| of a
   trajectory, or the increments of a rank or dimension.  The sequence is
   weakly decreasing (each quotient is an epic image of the previous
-  one), so it stops, exactly, at its first value equal to a known limit:
-  1 for an index (a_n = 1 gives T_{n+2} = T_{n+1} = T_n; a finitely
-  generated group always gets there), the ``leading_coefficient`` value
-  below when H spans Q^n (the intrinsic Yuzvinski formula: Dikranjan,
-  Giordano Bruno, Salce & Virili, J. Pure Appl. Algebra 219, 2015), 0
-  for a rank increment, and a window state that stops growing on a
-  sequence space.  Shift groups,
-  the adjoint chain and lattices not spanning Q^n stop at a window of
-  equal values instead, flagged ``heuristic``: a plateau as long as the
-  window can still drop later (480, 480, 480, then 160 on a 4x4 map).
+  one), so it stops, exactly, at its first value equal to its limit:
+  1 for an index on a finitely generated group (a_n = 1 gives
+  T_{n+2} = T_{n+1} = T_n), and over Q^n the leading coefficient of the
+  primitive charpoly of phi restricted to QH (the intrinsic Yuzvinski
+  formula: Dikranjan, Giordano Bruno, Salce & Virili, J. Pure Appl.
+  Algebra 219, 2015), 0 for a rank increment.  On a shift group or a
+  sequence space it stops at the first window state K_{n+1} = K_n (the
+  part of T_n beyond the seed's first n places); every later state, and
+  so every later value, is the same.  A plateau is never taken for the
+  limit (480, 480, 480, then 160 on a 4x4 map), and a sequence that
+  does not reach its limit within ``max_steps`` raises.
 * ``leading_coefficient``: intrinsic entropy as log of the leading
   coefficient of the primitive characteristic polynomial.
 * ``yuzvinski``: full algebraic entropy as the Mahler measure of the
@@ -29,7 +30,10 @@ Computation paths
 * ``limit_free``: log |T/phi T| - log |ker phi ∩ T| on a saturating
   trajectory.
 * ``cotrajectory``: the stationary index of the adjoint chain
-  C_{n+1} = H ∩ phi^{-1}(C_n).
+  C_{n+1} = H ∩ phi^{-1}(C_n).  Its indices are weakly decreasing too
+  (phi embeds C_n/C_{n+1} in C_{n-1}/C_n) and stop at the same limits:
+  by duality C_n* = T_n(phi^T, H*) (Dikranjan, Giordano Bruno & Salce,
+  J. Algebra 324, 2010).
 * ``symbolic_shift``: closed forms on Bernoulli shifts and cylinder
   families; no element of an infinite product is ever materialized.
 
@@ -55,7 +59,7 @@ from .errors import (
     UnsupportedAmbientError,
 )
 from .inertia import _ambient_ops, inert_index, strict_inert_index
-from .intlinalg import hnf, in_lattice
+from .intlinalg import hnf, in_lattice, matvec
 from .mahler import kronecker_test, mahler_measure
 from .models import (
     LinearShiftSpace,
@@ -104,7 +108,9 @@ class EntropyReport:
     Exactly one of three value forms is active: ``log_of`` (the value
     is log of that positive rational), ``exact_value`` (the value is
     that rational itself), or neither (certified float within
-    ``error_bound``).
+    ``error_bound``).  ``heuristic`` is always false: every
+    stabilization stops at a proven limit.  The field, and its key in
+    the CLI JSON, stay for output compatibility.
     """
 
     value: float
@@ -128,35 +134,29 @@ def _log_value(q):
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _log_report(q, path, steps=0, heuristic=False, cross=None):
+def _log_report(q, path, steps=0, cross=None):
     q = Fraction(q)
     return EntropyReport(
         value=_log_value(q),
         path=path,
         log_of=q,
         steps_used=steps,
-        heuristic=heuristic,
         cross_check=cross,
     )
 
 
-def _stabilize(values, cfg, what, final=None, window=False):
-    """The prefix of ``values`` up to its stop, and whether the stop is heuristic.
+def _stabilize(values, cfg, what, final):
+    """The prefix of ``values`` up to its first value ``final`` accepts.
 
     ``final(value)`` is true on a value the sequence provably keeps from
-    there on: the prefix ends there, exactly.  With ``window`` a run of
-    ``cfg.stabilization_window`` equal values also ends it, heuristically.
-    At most ``cfg.max_steps`` values are drawn; a stream that stops
-    neither way by then raises.
+    there on.  At most ``cfg.max_steps`` values are drawn; a stream that
+    has not stopped by then raises.
     """
-    size = cfg.stabilization_window
     seen = []
     for value in islice(values, cfg.max_steps):
         seen.append(value)
-        if final is not None and final(value):
-            return seen, False
-        if window and len(seen) >= size and len(set(seen[-size:])) == 1:
-            return seen, True
+        if final(value):
+            return seen
     raise StabilizationError(
         f"{what} did not settle within {cfg.max_steps} steps"
     )
@@ -254,28 +254,57 @@ def _index_steps(phi, h):
     return _finite(steps, DomainError, "trajectory left the finite world")
 
 
+def _index_limit(phi, h):
+    """The limit of the trajectory's and the adjoint chain's indices.
+
+    1 on a finitely generated group.  Over Q^n, QH is phi-invariant (H is
+    inert), and the limit is the lead of the primitive charpoly of
+    psi = phi on QH.  For the HNF rows w_i of H and phi = mat / den,
+    phi(w_i) = sum_j c_ij w_j reads Y / den = C P on the pivot columns,
+    with P the rows' pivot block (triangular, invertible) and Y that of
+    the rows mat w_i; so psi is C = (Y / den) P^-1.
+    """
+    if not isinstance(h, RationalLattice):
+        return 1
+    pivots = [next(j for j, x in enumerate(w) if x) for w in h.mat]
+
+    def block(rows, den):
+        picked = tuple(tuple(row[j] for j in pivots) for row in rows)
+        return RationalEndo._from_scaled(len(pivots), den, picked)
+
+    image = (matvec(phi.mat, w) for w in h.mat)
+    psi = block(image, phi.den).compose(block(h.mat, 1).invert())
+    return charpoly_primitive(psi).leading
+
+
 def _index_stabilized(phi, h, cfg):
-    # 1 is final everywhere; a lattice spanning Q^n ends at the lead, and
-    # one that does not span may also end at a window
-    lattice = isinstance(h, RationalLattice)
-    spans = lattice and h.rank() == h.ambient_dim
-    limit = charpoly_primitive(phi).leading if spans else 1
-    window = lattice and not spans
-    seen, heuristic = _stabilize(
-        _index_steps(phi, h), cfg, "index sequence",
-        lambda a: a == limit, window,
+    limit = _index_limit(phi, h)
+    seen = _stabilize(_index_steps(phi, h), cfg, "index sequence",
+                      lambda a: a == limit)
+    return _log_report(seen[-1], "stabilization", len(seen))
+
+
+def _shift_window(elems, place):
+    """The elements supported at places >= ``place``, shifted back there."""
+    return frozenset(
+        tuple((pos - place, c) for pos, c in x.support)
+        for x in elems if not x.support or x.support[0][0] >= place
     )
-    return _log_report(seen[-1], "stabilization", len(seen), heuristic)
 
 
 def _shift_stabilized(group, gens, cfg):
+    # a_n = |T_{n+1}/T_n| is fixed by the window state K_n, the part of
+    # T_n at places >= p_0 + n for p_0 the seed's first place.  One map,
+    # the same for every n, sends K_n to K_{n+1}, so the first n with
+    # K_{n+1} = K_n fixes every later a_m
     gens = _shift_gens(group, gens)
-    orders = map(len, _shift_trajectory(group, gens, cfg.element_cap))
-    seen, heuristic = _stabilize(
-        (big // small for small, big in pairwise(orders)),
-        cfg, "index sequence", window=True,
-    )
-    return _log_report(seen[-1], "stabilization", len(seen), heuristic)
+    first = min((g.support[0][0] for g in gens if g.support), default=0)
+    sets = _shift_trajectory(group, gens, cfg.element_cap)
+    states = ((len(t), _shift_window(t, first + n)) for n, t in enumerate(sets, 1))
+    steps = ((big // small, state == later)
+             for (small, state), (big, later) in pairwise(states))
+    seen = _stabilize(steps, cfg, "index sequence", operator.itemgetter(1))
+    return _log_report(seen[-1][0], "stabilization", len(seen))
 
 
 def ent(phi, config=None):
@@ -380,8 +409,8 @@ def i_entropy(phi, seed, plugin, config=None):
         if plugin == "rank":
             chain = _trajectory(_ambient_ops(seed, phi), phi, seed)
             ranks = map(Subgroup.free_rank, chain)
-            seen, _ = _stabilize((b - a for a, b in pairwise(ranks)), cfg,
-                                 "increments", lambda d: d == 0)
+            seen = _stabilize((b - a for a, b in pairwise(ranks)), cfg,
+                              "increments", lambda d: d == 0)
             return _increment_report(seen[-1], len(seen))
         raise DomainError("dimension plugin lives on sequence spaces")
     raise UnsupportedAmbientError(
@@ -407,8 +436,8 @@ def _window_states(space, f):
 
 def _space_stabilized(space, seed, cfg):
     f = space.reduce(seed)
-    seen, _ = _stabilize(pairwise(_window_states(space, f)), cfg, "increments",
-                         lambda pair: pair[0] == pair[1])
+    seen = _stabilize(pairwise(_window_states(space, f)), cfg, "increments",
+                      lambda pair: pair[0] == pair[1])
     state = seen[-1][0]
     return _increment_report(space.dim(f + state) - len(state), len(seen))
 
@@ -441,8 +470,8 @@ def limit_free_h(phi, f, config=None):
         return _limit_free_shift(phi, f)
     ops = _ambient_ops(f, phi)
     # T_{n+1} = T_n is final: from there T is phi-invariant
-    seen, _ = _stabilize(pairwise(_trajectory(ops, phi, f)), cfg, "trajectory",
-                         lambda pair: pair[0] == pair[1])
+    seen = _stabilize(pairwise(_trajectory(ops, phi, f)), cfg, "trajectory",
+                      lambda pair: pair[0] == pair[1])
     return _limit_free_value(ops, phi, seen[-1][0])
 
 
@@ -520,10 +549,9 @@ def intrinsic_adjoint_entropy(phi, h, config=None):
     steps = (ops.index(a, b) for a, b in pairwise(_cotrajectory(ops, phi, h)))
     # [C_n : C_{n+1}] <= [H : C_2], finite by inertness; kept as a guard
     steps = _finite(steps, NotInertError, "cotrajectory indices are infinite")
-    seen, heuristic = _stabilize(
-        steps, cfg, "cotrajectory indices", window=True
-    )
-    return _log_report(seen[-1], "cotrajectory", len(seen), heuristic)
+    limit = _index_limit(phi, h)
+    seen = _stabilize(steps, cfg, "cotrajectory indices", lambda a: a == limit)
+    return _log_report(seen[-1], "cotrajectory", len(seen))
 
 
 def h_top_shift(fam, config=None):

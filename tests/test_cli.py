@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -338,7 +339,7 @@ def test_env_and_flag_precedence(monkeypatch):
 
 
 def test_intrinsic_cross_check_on_the_4x4_map():
-    # with a window of 3 the index sequence 480, 480, 480, 160 stopped at 480
+    # the index sequence is 480, 480, 480, then 160: a plateau is not the limit
     payload = invoke_json("entropy", "intrinsic", "--cross-check", "--matrix", MAP_4X4)
     assert payload["log_of"] == "160"
     assert payload["cross_check"]["agreement"] is True
@@ -358,11 +359,62 @@ def test_limitfree_shift_with_many_positions():
 
 
 def test_config_flags_accepted_after_subcommand():
-    payload = invoke_json("entropy", "ent", "--cell", "Z/2", "--window", "4")
-    assert payload["log_of"] == "2"
-    assert int(payload["steps_used"]) >= 4
-    code, _, _ = invoke("--window", "4", "entropy", "ent", "--cell", "Z/2")
-    assert code == 0
+    # the 4x4 map's index sequence reaches its limit at step 4
+    argv = ("entropy", "stabilized", "--matrix", MAP_4X4, "--sub", IDENTITY_4)
+    payload = invoke_json(*argv, "--max-steps", "4")
+    assert (payload["log_of"], payload["steps_used"]) == ("160", "4")
+    assert invoke(*argv, "--max-steps", "3")[0] == 3
+    assert invoke("--max-steps", "4", *argv)[0] == 0
+    assert invoke("--max-steps", "3", *argv)[0] == 3
+
+
+def test_window_flag_is_gone(monkeypatch):
+    code, out, err = invoke("entropy", "ent", "--cell", "Z/2", "--window", "4")
+    assert (code, out) == (1, "") and "--window" in err
+    assert invoke("--window", "4", "entropy", "ent", "--cell", "Z/2")[:2] == (1, "")
+    # nor is the environment variable read: a window of 0 was a ValueError
+    monkeypatch.setenv("ALGENTROPY_WINDOW", "0")
+    assert invoke_json("entropy", "ent", "--cell", "Z/2")["log_of"] == "2"
+
+
+@pytest.mark.parametrize("call, expected", [
+    # T_4 over Z/64 has 64^4 elements: a window of 3 passed the element
+    # cap after 19 s (exit 3) on a 2-core machine
+    ("run(['entropy', 'ent', '--cell', 'Z/64'], out, sys.stderr)\n"
+     "value = json.loads(out.getvalue())['log_of']", "64"),
+    # a window of 3 built T_4 of 5^8 elements in 5.1 s on a 2-core machine
+    ("b = ShiftGroup(FgAbGroup([5, 5]))\n"
+     "value = str(h_alg_stabilized(b, b.first_coordinate_copy()).log_of)", "25"),
+], ids=["ent-Z/64", "halg-(Z/5)^2"])
+def test_large_bernoulli_cells_time_regression(call, expected):
+    # a fresh process, so no cache from other tests helps
+    code = (
+        "import io, json, sys, time\n"
+        "from algentropy import FgAbGroup, ShiftGroup, h_alg_stabilized\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        f"{call}\n"
+        "print(value, time.perf_counter() - start)\n"
+    )
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    value, seconds = done.stdout.split()
+    assert value == expected
+    assert float(seconds) < 1.0
+
+
+def test_readme_examples_byte_identical():
+    # every "$ algentropy ..." line of the README, against the line under it
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = [(shlex.split(line)[2:], lines[i + 1])
+                for i, line in enumerate(lines) if line.startswith("$ algentropy ")]
+    assert len(examples) >= 4
+    for argv, expected in examples:
+        code, out, err = invoke(*argv)
+        assert (code, out) == (0, expected + "\n"), (argv, err)
 
 
 def test_parse_group_forms():

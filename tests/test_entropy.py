@@ -83,12 +83,28 @@ MAP_4X4 = RationalEndo(4, [
 ])
 
 
+# QH = <e_1, e_2> is invariant, phi on it is [[2/3, 0], [-1/2, -1]]: lead 3,
+# while the whole map's primitive charpoly has lead 15
+MAP_ON_PLANE = RationalEndo(3, [
+    [Fraction(2, 3), 0, 1],
+    [Fraction(-1, 2), -1, 0],
+    [0, 0, Fraction(1, 5)],
+])
+PLANE = RationalLattice.from_rows(3, [[1, 0, 0], [0, 1, 0]])
+
+# the adjoint chain's index sequence is 12600, 12600, 12600, then 1800
+MAP_ADJOINT_PLATEAU = RationalEndo(4, [
+    [-2, 0, -1, Fraction(-4, 7)],
+    [0, Fraction(-3, 5), 0, Fraction(-1, 2)],
+    [0, Fraction(-1, 6), 1, Fraction(2, 9)],
+    [0, Fraction(1, 4), Fraction(-1, 5), Fraction(4, 3)],
+])
+
+
 def _stabilizing_paths():
     """(id, call taking a config, expected value, exact stop) for every
-    stabilizing path.  A windowed path (exact stop None) sees a sequence
-    constant from its first value on; an exact path stops at the given
-    position of its first limit value, which is past the first step so
-    a smaller budget must raise."""
+    stabilizing path.  Each path stops at the given position of its first
+    limit value, past the first step, so a smaller budget must raise."""
     z2 = FgAbGroup([], 2)
     swap = Endo(z2, [[0, 1], [1, 0]])
     half = subgroup_from_generators(z2, [[2, 0], [0, 1]])
@@ -97,46 +113,56 @@ def _stabilizing_paths():
     finite = FgAbGroup([2, 2, 2, 2])
     nilpotent = Endo(finite, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     seed = subgroup_from_generators(finite, [[1, 0, 0, 0]])
-    b2, b3 = ShiftGroup(FgAbGroup([2])), ShiftGroup(FgAbGroup([3]))
+    b2, b4 = ShiftGroup(FgAbGroup([2])), ShiftGroup(FgAbGroup([4]))
     v = LinearShiftSpace(2)
-    std = RationalLattice.standard(1)
-    fifth = RationalEndo.scalar(1, Fraction(1, 5))
+    std4 = RationalLattice.standard(4)
     return [
         # index sequence 2, 1
         ("halg-Zn", lambda c: h_alg_stabilized(swap, half, c), 1, 2),
-        ("halg-Qn",
-         lambda c: h_alg_stabilized(MAP_4X4, RationalLattice.standard(4), c), 160, 4),
-        ("halg-shift", lambda c: h_alg_stabilized(b2, b2.first_coordinate_copy(), c), 2, None),
-        # index sequence 2, 2, 2, 1: a window of 3 or less stops on the 2s
+        ("halg-Qn", lambda c: h_alg_stabilized(MAP_4X4, std4, c), 160, 4),
+        # index sequence 6, 3
+        ("halg-non-spanning", lambda c: h_alg_stabilized(MAP_ON_PLANE, PLANE, c), 3, 2),
+        # F = <e_0, e_4>: index sequence 4, 4, 4, then 2, which a window of
+        # 3 took for 4; K_n = <e_{4-n}, ..., e_3> grows until K_4 = K_5
+        ("halg-shift",
+         lambda c: h_alg_stabilized(b2, [b2.element({0: [1]}), b2.element({4: [1]})], c),
+         2, 4),
+        # index sequence 2, 2, 2, 1
         ("log_order-finite", lambda c: i_entropy(nilpotent, seed, "log_order", c), 1, 4),
+        # F = <2e_0 + 3e_2>: index 4 throughout, while |K_n| = 2^n grows to
+        # all of (Z/4)^2 at K_4 = K_5
         ("log_order-shift",
-         lambda c: i_entropy(b3, b3.first_coordinate_copy(), "log_order", c), 3, None),
+         lambda c: i_entropy(b4, [b4.element({0: [2], 2: [3]})], "log_order", c), 4, 4),
         # ranks 1, 2, 2
         ("rank", lambda c: i_entropy(nudge, axis, "rank", c), 0, 2),
         # K_1 = <(0, 1)> grows to K_2 = K_3 = everything in two places
         ("dimension", lambda c: i_entropy(v, [[1, 1], [0, 0, 1]], "dimension", c), 1, 2),
-        ("adjoint", lambda c: intrinsic_adjoint_entropy(fifth, std, c), 5, None),
+        ("adjoint", lambda c: intrinsic_adjoint_entropy(MAP_ADJOINT_PLATEAU, std4, c), 1800, 4),
+        # C_2 = C_3 = 2Z^2: index sequence 2, 1
+        ("adjoint-Zn", lambda c: intrinsic_adjoint_entropy(swap, half, c), 1, 2),
+        ("adjoint-non-spanning",
+         lambda c: intrinsic_adjoint_entropy(MAP_ON_PLANE, PLANE, c), 3, 2),
     ]
 
 
-@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("headroom", [2, 3, 5])
 @pytest.mark.parametrize(
     "call,expected,stop",
     [pytest.param(call, value, stop, id=name)
      for name, call, value, stop in _stabilizing_paths()],
 )
-def test_every_stabilizing_path_respects_its_budget(call, expected, stop, window):
-    cfg = replace(default_config(), stabilization_window=window)
-    steps = window if stop is None else stop
+def test_every_stabilizing_path_respects_its_budget(call, expected, stop, headroom):
+    # the stop is proven, so a budget beyond it changes nothing
     with pytest.raises(StabilizationError):
-        call(replace(cfg, max_steps=steps - 1))
-    report = call(replace(cfg, max_steps=steps))
-    assert report.steps_used == steps
-    assert report.heuristic == (stop is None)
-    if report.log_of is not None:
-        assert report.log_of == expected
-    else:
-        assert report.exact_value == expected
+        call(replace(default_config(), max_steps=stop - 1))
+    for budget in (stop, stop + headroom):
+        report = call(replace(default_config(), max_steps=budget))
+        assert report.steps_used == stop
+        assert not report.heuristic
+        if report.log_of is not None:
+            assert report.log_of == expected
+        else:
+            assert report.exact_value == expected
 
 
 def test_mismatched_ambients_raise_ambient_mismatch():
@@ -165,7 +191,8 @@ def test_bernoulli_stabilization():
         report = h_alg_stabilized(b, b.first_coordinate_copy())
         assert report.log_of == order
         assert report.path == "stabilization"
-        assert report.heuristic
+        # K_1 = K_2 = 0: the first index is final
+        assert (report.steps_used, report.heuristic) == (1, False)
         assert report.exact
         assert report.value == pytest.approx(math.log(order))
 
@@ -306,9 +333,8 @@ def test_span_dims_match_the_pool_reduced_from_scratch(p):
 def test_span_dims_time_regression():
     # reducing the whole pool again at every step took 0.5-0.6 s on a 2-core machine
     space = LinearShiftSpace(0)
-    cfg = replace(default_config(), stabilization_window=30)
     start = time.perf_counter()
-    report = i_entropy(space, [(1, 2, 3), (0, 1, 5), (2, 0, 1)], "dimension", config=cfg)
+    report = i_entropy(space, [(1, 2, 3), (0, 1, 5), (2, 0, 1)], "dimension")
     assert time.perf_counter() - start < 0.3
     assert report.exact_value == 1
 
@@ -342,7 +368,11 @@ def _index_sequence(phi, h, steps):
 
 def _sympy_lead(phi):
     """Leading coefficient of the primitive integer charpoly, by sympy."""
-    poly = sympy.Matrix(phi.matrix).charpoly(sympy.symbols("t"))
+    return _sympy_lead_of(sympy.Matrix(phi.matrix))
+
+
+def _sympy_lead_of(matrix):
+    poly = matrix.charpoly(sympy.symbols("t"))
     _, integral = poly.clear_denoms(convert=True)
     return abs(integral.primitive()[1].LC())
 
@@ -398,14 +428,115 @@ def test_corrupted_index_breaks_the_cross_check(monkeypatch, delta):
         assert report.cross_check.agreement is False
 
 
-def test_non_spanning_lattices_keep_the_window():
+def _sympy_restricted_lead(phi, h):
+    """Lead of the primitive charpoly of phi on QH, by sympy: the matrix
+    C with C W = W M^T for the basis rows W of H."""
+    w = sympy.Matrix(h.basis)
+    image = w * sympy.Matrix(phi.matrix).T
+    c = image * w.T * (w * w.T).inv()
+    assert c * w == image  # QH is invariant
+    return _sympy_lead_of(c)
+
+
+def _cotrajectory_indices(phi, h, steps):
+    """[C_1 : C_2], ..., [C_steps : C_{steps+1}] from the public chain."""
+    index = lattice_index if isinstance(h, RationalLattice) else subgroup_index
+    chain = [adjoint_cotrajectory(phi, h, n) for n in range(1, steps + 2)]
+    return [index(a, b) for a, b in zip(chain, chain[1:])]
+
+
+def _random_non_spanning(draw, n):
+    """(phi, H): H of rank r < n in an r-dimensional subspace V that
+    phi = B A B^-1 keeps, with A block upper triangular."""
+    r = draw.randint(1, n - 1)
+    while True:
+        cols = [[draw.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        basis = RationalEndo(n, [list(row) for row in zip(*cols)])
+        if basis.det():
+            break
+    a = [[Fraction(draw.randint(-5, 5), draw.randint(1, 9)) if i < r or j >= r else 0
+          for j in range(n)] for i in range(n)]
+    phi = basis.compose(RationalEndo(n, a)).compose(basis.invert())
+    # triangular coefficients with a nonzero diagonal keep H of rank r
+    rows = []
+    for j in range(r):
+        coef = [Fraction(draw.randint(-3, 3), draw.randint(1, 3)) for _ in range(j)]
+        coef.append(Fraction(draw.choice([-3, -2, -1, 1, 2, 3]), draw.randint(1, 3)))
+        rows.append([sum(x * col[i] for x, col in zip(coef, cols)) for i in range(n)])
+    return phi, RationalLattice.from_rows(n, rows)
+
+
+def _assert_stops_at(report, limit, seq):
+    """The report took the first value equal to the limit, and the raw
+    sequence reaches it and never goes below."""
+    assert report.log_of == limit == seq[-1] == min(seq)
+    assert report.steps_used == seq.index(limit) + 1
+    assert not report.heuristic
+
+
+def test_non_spanning_lattices_stop_at_the_restricted_lead():
     phi = RationalEndo(2, [[Fraction(3, 2), 0], [0, 5]])
     axis = RationalLattice.from_rows(2, [[1, 0]])
     report = h_alg_stabilized(phi, axis)
-    assert (report.log_of, report.steps_used, report.heuristic) == (2, 3, True)
-    # 1 is final on every ambient
+    assert (report.log_of, report.steps_used, report.heuristic) == (2, 1, False)
     report = ent(phi)
     assert (report.log_of, report.steps_used, report.heuristic) == (1, 1, False)
+    # the restriction matters: the whole map's lead is 15
+    assert (_sympy_lead(MAP_ON_PLANE), _sympy_restricted_lead(MAP_ON_PLANE, PLANE)) == (15, 3)
+    draw = random.Random("non-spanning")
+    seen = 0
+    for trial in range(24):
+        phi, h = _random_non_spanning(draw, 2 + trial % 3)
+        lead = _sympy_restricted_lead(phi, h)
+        try:
+            report = h_alg_stabilized(phi, h)
+        except NotInertError:
+            continue
+        seen += 1
+        steps = max(10, report.steps_used + 4)
+        _assert_stops_at(report, lead, _index_sequence(phi, h, steps))
+        adjoint = intrinsic_adjoint_entropy(phi, h)
+        _assert_stops_at(adjoint, lead, _cotrajectory_indices(phi, h, steps))
+    assert seen >= 20
+
+
+def test_adjoint_chain_stops_at_the_lead_on_spanning_lattices():
+    report = intrinsic_adjoint_entropy(MAP_ADJOINT_PLATEAU, RationalLattice.standard(4))
+    assert (report.log_of, report.steps_used, report.heuristic) == (1800, 4, False)
+    assert report.log_of == intrinsic_entropy(MAP_ADJOINT_PLATEAU).log_of
+    seq = _cotrajectory_indices(MAP_ADJOINT_PLATEAU, RationalLattice.standard(4), 6)
+    assert seq == [12600, 12600, 12600, 1800, 1800, 1800]
+    draw = random.Random("adjoint")
+    for trial in range(30):
+        n = 2 + trial % 3
+        phi = _random_rational_map(draw, n)
+        h = RationalLattice.standard(n) if trial % 2 else RationalLattice.from_rows(n, [
+            [Fraction(draw.randint(-3, 3) + (3 if i == j else 0), draw.randint(1, 3))
+             for j in range(n)] for i in range(n)
+        ])
+        if h.rank() < n or not inert_index(h, phi).inert:
+            continue
+        report = intrinsic_adjoint_entropy(phi, h)
+        steps = max(10, report.steps_used + 4)
+        _assert_stops_at(report, _sympy_lead(phi), _cotrajectory_indices(phi, h, steps))
+
+
+def test_adjoint_chain_stops_at_one_on_finitely_generated_groups():
+    draw = random.Random("fg-adjoint")
+    groups = [FgAbGroup([], 2), FgAbGroup([2], 2), FgAbGroup([3], 1), FgAbGroup([2, 4])]
+    seen = 0
+    for _ in range(150):
+        group = draw.choice(groups)
+        phi = _random_endo(draw, group)
+        h = subgroup_from_generators(group, [
+            [draw.randint(-4, 4) for _ in range(group.dim)] for _ in range(2)
+        ])
+        if not inert_index(h, phi).inert:
+            continue
+        seen += 1
+        report = intrinsic_adjoint_entropy(phi, h)
+        _assert_stops_at(report, 1, _cotrajectory_indices(phi, h, report.steps_used + 8))
+    assert seen > 50
 
 
 def test_finitely_generated_sequences_stop_at_one():

@@ -2,15 +2,13 @@
 
 import random
 import time
-from dataclasses import replace
-from itertools import pairwise
+from itertools import count, pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algentropy.abelian import FgAbGroup
-from algentropy.config import default_config
 from algentropy.entropy import h_alg_stabilized, i_entropy, trajectory
 from algentropy.errors import AmbientMismatchError, BudgetExceededError, DomainError
 from algentropy.models import (
@@ -136,20 +134,66 @@ def test_shift_trajectory_sets_match_closure_of_shifts(factors):
         assert got == want, (gens, n)
 
 
+def _window_state(elems, place):
+    """K: the elements supported at places >= ``place``, shifted back there."""
+    return {
+        tuple((pos - place, c) for pos, c in x.support)
+        for x in elems if all(pos >= place for pos, _ in x.support)
+    }
+
+
+def _closure_indices(group, gens, sets, beyond=1):
+    """a_1, a_2, ... from the closures of the shifted generators, and the
+    first n with K_{n+1} = K_n.  The closures stop at T_``sets``, or
+    ``beyond`` indices past that n, whichever comes later."""
+    first = min(pos for g in gens for pos, _ in g.support)
+    closures, states, stop = [], [], None
+    for n in count(1):
+        if n > sets and stop is not None and n > stop + beyond + 1:
+            break
+        closures.append(_closure_of_shifts(group, gens, n, 10**4))
+        states.append(_window_state(closures[-1], first + n))
+        if stop is None and n > 1 and states[-2] == states[-1]:
+            stop = n - 1
+    return [len(b) // len(a) for a, b in pairwise(closures)], stop
+
+
+def _assert_shift_stop(group, gens, seq, stop):
+    for report in (h_alg_stabilized(group, gens), i_entropy(group, gens, "log_order")):
+        assert (report.steps_used, report.heuristic) == (stop, False), gens
+        # the value at the stop is every later value the oracle reaches
+        assert set(seq[stop - 1:]) == {report.log_of}, (gens, seq)
+
+
 @pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
 def test_shift_stabilization_matches_closure_of_shifts(factors):
-    # one generator keeps |T_4| <= 9^4 and the oracle under a second
+    # one generator, and one index past the stop
     group = ShiftGroup(FgAbGroup(factors))
     gens = _spread_generators(group, 3, 1)
-    cfg = replace(default_config(), element_cap=10**4)
-    window = cfg.stabilization_window
-    orders = [len(_closure_of_shifts(group, gens, n, cfg.element_cap)) for n in (1, 2)]
-    seen = [orders[1] // orders[0]]
-    while len(seen) < window or len(set(seen[-window:])) != 1:
-        orders.append(len(_closure_of_shifts(group, gens, len(orders) + 1, cfg.element_cap)))
-        seen = [big // small for small, big in pairwise(orders)]
-    for report in (h_alg_stabilized(group, gens, cfg), i_entropy(group, gens, "log_order", cfg)):
-        assert (report.log_of, report.steps_used) == (seen[-1], len(seen))
+    _assert_shift_stop(group, gens, *_closure_indices(group, gens, 2))
+
+
+def test_shift_stop_holds_for_eight_closure_steps():
+    # seeds spread over up to three places from an offset of up to 2; a
+    # lone generator of order 2 keeps |T_8| <= 2^8, and over Z/2 two
+    # generators within five places keep it <= 2^12
+    draw = random.Random("shift-stop")
+    cells = [[2]] * 4 + [[2, 2], [2, 2, 2]]
+    stops = set()
+    for trial in range(12):
+        factors = cells[trial % len(cells)]
+        group = ShiftGroup(FgAbGroup(factors))
+        offset = draw.randint(0, 2)
+        size = draw.randint(1, 2) if factors == [2] else 1
+        gens = [group.element({
+            offset + pos: [draw.randrange(1, factors[0])] + [draw.randrange(d) for d in factors[1:]]
+            for pos in draw.sample(range(5 if factors == [2] else 3), draw.randint(1, 3))
+        }) for _ in range(size)]
+        seq, stop = _closure_indices(group, gens, 8)
+        assert len(seq) >= 7
+        _assert_shift_stop(group, gens, seq, stop)
+        stops.add(stop)
+    assert stops == {1, 2, 3, 4}
 
 
 def test_shift_step_with_seed_over_many_positions_time_regression():
