@@ -15,7 +15,15 @@ Two refinement schedules are available ("aberth" over machine complex
 numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
 caller can cross-check one against the other; the certification step is
 shared and exact either way.  Coefficients too large for a double skip
-the machine stage and start in mpmath.
+the machine stage and start in mpmath.  Every stage of both schedules
+starts from the same points, spread by the Newton polygon of the
+coefficient moduli (Bini, Numer. Algorithms 13, 1996), so roots whose
+moduli lie hundreds of orders of magnitude apart each start on their own
+circle.  The Aberth sweep updates in Gauss-Seidel order and stops moving
+a root once its correction is below the stage's threshold, and each
+machine-stage approximation is rounded to 53 bits of its own modulus
+before certification, so that a real root's stray tiny imaginary part
+does not refine the dyadic grid of the whole certificate.
 
 Cheap exact filters keep the exact stages polynomial in the degree
 (Bradford & Davenport, "Effective tests for cyclotomic polynomials",
@@ -394,32 +402,38 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth_sweep(coeffs, dcoeffs, zs, iters, stop_eps):
-    """Generic Aberth-Ehrlich iteration; works for complex and mpmath mpc."""
+def _aberth_sweep(coeffs, zs, iters, stop_eps):
+    """Aberth-Ehrlich iteration in Gauss-Seidel order; works for complex
+    and mpmath mpc.
+
+    Each correction uses the roots already moved in the same sweep, and a
+    root whose correction falls below stop_eps stays where it is.
+    """
+    zs = list(zs)
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+    moving = range(len(zs))
     used = 0
-    for _ in range(iters):
+    while moving and used < iters:
         used += 1
-        new = []
-        worst = 0.0
-        for i, z in enumerate(zs):
-            fz = _horner(coeffs, z)
-            fpz = _horner(dcoeffs, z)
+        still = []
+        for i in moving:
+            z = zs[i]
+            # f(z) and f'(z) in one Horner pass
+            fz, fpz = lead, z * 0
+            for c in rest:
+                fpz = fpz * z + fz
+                fz = fz * z + c
             if fpz == 0:
                 fpz = fpz + stop_eps
             w = fz / fpz
-            ssum = z * 0
-            for j, zj in enumerate(zs):
-                if j != i and z != zj:
-                    ssum += 1 / (z - zj)
-            denom = 1 - w * ssum
+            denom = 1 - w * sum([1 / (z - zj) for zj in zs if zj != z])
             if denom == 0:
                 denom = denom + stop_eps
             corr = w / denom
-            new.append(z - corr)
-            worst = max(worst, float(abs(corr)))
-        zs = new
-        if worst < stop_eps:
-            break
+            zs[i] = z - corr
+            if not abs(corr) < stop_eps:
+                still.append(i)
+        moving = still
     return zs, used
 
 
@@ -453,26 +467,62 @@ def _is_finite_complex(z):
     return cmath.isfinite(complex(z))
 
 
-def _initial_roots(poly):
-    import numpy as np
-
-    rts = np.roots(list(reversed(poly.coeffs)))
-    return [complex(z) for z in rts]
+# angle offset of the starting points, so that no start sits on the real axis
+_START_ANGLE = 0.7
 
 
-def _circle_starts(poly, ctx):
-    # the Cauchy bound and the start points are rounded to 53 bits, as in
-    # binary64 arithmetic, but mpmath's exponent range takes coefficients
-    # of any size
+def _starts(poly, ctx=None):
+    """Starting points from the Newton polygon of the coefficient moduli.
+
+    Bini, "Numerical computation of polynomial zeros by means of Aberth's
+    method", Numer. Algorithms 13 (1996): each edge i -> j of the upper
+    convex hull of the points (i, log|a_i|) puts j - i points evenly on the
+    circle of radius (|a_i| / |a_j|)^(1/(j-i)), the modulus the edge
+    predicts for j - i of the roots.  Points are rounded to 53 bits:
+    Python complex numbers when ctx is None (OverflowError past the
+    binary64 range), otherwise ctx.mpc values, whose exponent range takes
+    coefficients of any size.  poly must have a nonzero constant term.
+    """
     d = poly.degree
-    ratio = ctx.fdiv(max(abs(c) for c in poly.coeffs[:-1]), abs(poly.leading), prec=53)
-    bound = ctx.fadd(1, ratio, prec=53)
+    hull = []
+    for i, c in enumerate(poly.coeffs):
+        if not c:
+            continue
+        p = (i, math.log2(abs(c)))
+        while len(hull) > 1:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (bx - ax) * (p[1] - ay) < (by - ay) * (p[0] - ax):
+                break
+            hull.pop()
+        hull.append(p)
     zs = []
-    for k in range(d):
-        theta = 2 * math.pi * (k + 0.3141) / d
-        zs.append(ctx.mpc(ctx.fmul(bound, math.cos(theta), prec=53),
-                          ctx.fmul(bound, math.sin(theta), prec=53)))
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        n = j - i
+        log_r = (log_i - log_j) / n
+        e = math.floor(log_r)
+        r = 2.0 ** (log_r - e)
+        for k in range(n):
+            theta = 2 * math.pi * (k / n + i / d) + _START_ANGLE
+            x, y = r * math.cos(theta), r * math.sin(theta)
+            if ctx is None:
+                zs.append(complex(math.ldexp(x, e), math.ldexp(y, e)))
+            else:
+                zs.append(ctx.mpc(ctx.ldexp(x, e), ctx.ldexp(y, e)))
     return zs
+
+
+def _round_to_modulus(z):
+    """z with both parts rounded to 53 bits of its larger part.
+
+    A real root approximated with a stray tiny imaginary part would
+    otherwise set the fine dyadic grid of the whole certificate.
+    """
+    big = max(abs(z.real), abs(z.imag))
+    if not big or not math.isfinite(big):
+        return z
+    q = math.frexp(big)[1] - 53
+    return complex(math.ldexp(round(math.ldexp(z.real, -q)), q),
+                   math.ldexp(round(math.ldexp(z.imag, -q)), q))
 
 
 def _check_floor(poly, cert, tol):
@@ -495,13 +545,12 @@ def _enclose_factor(poly, tol, schedule, budget):
     if schedule == "aberth":
         try:
             coeffs = [complex(c) for c in poly.coeffs]
-            dcoeffs = [complex(i * c) for i, c in enumerate(poly.coeffs)][1:]
+            starts = _starts(poly)
         except OverflowError:
             coeffs = None  # beyond binary64: skip the double stage
         if coeffs is not None:
-            zs, used = _aberth_sweep(
-                coeffs, dcoeffs, _initial_roots(poly), min(60, iters_left), 1e-15
-            )
+            zs, used = _aberth_sweep(coeffs, starts, min(60, iters_left), 1e-15)
+            zs = [_round_to_modulus(z) for z in zs]
             iters_left -= used
             try:
                 cert = _certify(poly, zs, tol)
@@ -520,13 +569,12 @@ def _enclose_factor(poly, tol, schedule, budget):
         with mpmath.workdps(dps):
             coeffs = [mpmath.mpc(c) for c in poly.coeffs]
             if seeds is None:
-                zs = _circle_starts(poly, mpmath.mp)
+                zs = _starts(poly, mpmath.mp)
             else:
                 zs = [mpmath.mpc(z) for z in seeds]
             stop = 10.0 ** (5 - dps)
             if schedule == "aberth":
-                dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-                zs, used = _aberth_sweep(coeffs, dcoeffs, zs, min(80, iters_left), stop)
+                zs, used = _aberth_sweep(coeffs, zs, min(80, iters_left), stop)
             else:
                 zs, used = _weierstrass_sweep(coeffs, zs, min(80, iters_left), stop)
             iters_left -= used
@@ -630,6 +678,48 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
     )
 
 
+# Graeffe root-squarings tried before a scan candidate goes to mahler_measure
+_SCAN_SQUARINGS = 6
+
+
+def _graeffe_square(coeffs):
+    """Coefficients of e(y)^2 - y o(y)^2 for g(t) = e(t^2) + t o(t^2).
+
+    Its roots are the squares of the roots of g, and its leading
+    coefficient is +-lc(g)^2, so its measure is M(g)^2.
+    """
+    out = [0] * len(coeffs)
+    for parity in (0, 1):
+        part = coeffs[parity::2]
+        sign = -1 if parity else 1
+        for i, a in enumerate(part):
+            out[2 * i + parity] += sign * a * a
+            a2 = 2 * sign * a
+            for j in range(i + 1, len(part)):
+                out[i + j + parity] += a2 * part[j]
+    return out
+
+
+def _graeffe_lower_bounds(coeffs, squarings):
+    """Lower bounds on log M(f), one per root-squaring k = 0..squarings.
+
+    The k-th Graeffe square g of f has M(g) = M(f)^(2^k), and Mahler's
+    inequality |c_j| <= C(d, j) M(g) on its coefficients ("On some
+    inequalities for polynomials in several variables", J. London Math.
+    Soc. 37, 1962) gives log M(f) >= (log|c_j| - log C(d, j)) / 2^k.  The
+    logs are taken of the integers themselves and each bound is lowered
+    by ``_LOG_PAD``.
+    """
+    d = len(coeffs) - 1
+    log_binom = [math.log(math.comb(d, j)) for j in range(d + 1)]
+    g = coeffs
+    for k in range(squarings + 1):
+        if k:
+            g = _graeffe_square(g)
+        best = max(math.log(abs(c)) - b for c, b in zip(g, log_binom) if c)
+        yield math.ldexp(best, -k) - _LOG_PAD
+
+
 def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     """All monic integer polynomials with small positive Mahler measure.
 
@@ -637,12 +727,14 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     coefficients in [-height_max, height_max] and nonzero constant term
     (a zero constant term only repeats a lower-degree polynomial), and
     returns [(poly, MahlerResult)] with 0 < m(f) < threshold sorted by
-    measure.  Numeric prefilters only ever *skip* candidates that are
-    certifiably outside (0, threshold); every returned measure is
-    certified.
+    measure.  A candidate is skipped only when it is certifiably outside
+    (0, threshold): when a lower bound on m(f), read off one of its first
+    ``_SCAN_SQUARINGS`` Graeffe root-squarings by Mahler's coefficient
+    inequality from the logs of the integer coefficients (padded),
+    reaches the threshold.  Every other candidate
+    goes to :func:`mahler_measure`, so every returned measure is certified
+    and measure zero is decided exactly.
     """
-    import numpy as np
-
     cfg = config or default_config()
     total = sum((2 * height_max + 1) ** d for d in range(1, degree_max + 1))
     if total > cfg.element_cap:
@@ -650,21 +742,14 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
             f"scan of {total} polynomials exceeds the element cap {cfg.element_cap}"
         )
     found = []
-    margin = 0.05
     for d in range(1, degree_max + 1):
         for low in _coeff_tuples(d, height_max):
             if low[0] == 0:
                 continue
-            if abs(low[0]) > 1 and math.log(abs(low[0])) >= threshold:
-                # |a_0| = |s| * prod |roots| <= exp(m)
+            coeffs = list(low) + [1]
+            if any(b >= threshold for b in _graeffe_lower_bounds(coeffs, _SCAN_SQUARINGS)):
                 continue
-            poly = IntPolynomial(list(low) + [1])
-            rts = np.roots(list(reversed(poly.coeffs)))
-            est = float(sum(math.log(abs(z)) for z in rts if abs(z) > 1))
-            if est > threshold + margin:
-                continue
-            if est < 1e-7 and kronecker_test(poly):
-                continue
+            poly = IntPolynomial(coeffs)
             res = mahler_measure(poly, config=cfg)
             if res.kronecker:
                 continue

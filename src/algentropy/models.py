@@ -146,7 +146,7 @@ class ShiftGroup:
                 )
             else:
                 summed = tuple(sign * y for y in coords)
-            reduced = cell.element(summed).coords
+            reduced = cell._reduce_coords(summed)
             if any(reduced):
                 merged[pos] = reduced
             else:

@@ -4,6 +4,7 @@ mpmath.polyroots shares no code with the interval refinement used by
 the library, so agreement within the certified radius is meaningful.
 """
 
+import ast
 import io
 import itertools
 import json
@@ -115,6 +116,15 @@ def test_cyclotomic_polynomials_match_sympy():
         assert ours == theirs
 
 
+def _fresh_interpreter(code):
+    """Stdout of ``code`` run in a new interpreter (empty caches, no imports)."""
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return done.stdout
+
+
 def test_kronecker_cold_cache_regression():
     # a fresh process starts with an empty cyclotomic table; filling it by
     # Fraction division made this call take close to a minute
@@ -126,11 +136,7 @@ def test_kronecker_cold_cache_regression():
         "verdict = kronecker_test(IntPolynomial([1, 1] + [0] * 18 + [1]))\n"
         "print(verdict, time.perf_counter() - start)\n"
     )
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    verdict, seconds = done.stdout.split()
+    verdict, seconds = _fresh_interpreter(code).split()
     assert verdict == "False"
     assert float(seconds) < 10.0
 
@@ -145,11 +151,7 @@ def _cold_call_seconds(expr):
         f"value = {expr}\n"
         "print(repr(value), time.perf_counter() - start, sep='\\n')\n"
     )
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    value, seconds = done.stdout.splitlines()
+    value, seconds = _fresh_interpreter(code).splitlines()
     return value, float(seconds)
 
 
@@ -318,6 +320,50 @@ def test_scan_respects_threshold():
     assert hits == []
 
 
+@pytest.mark.parametrize("degree_max, height_max, threshold", [(5, 1, 0.5), (3, 2, 0.7)])
+def test_scan_skips_only_what_the_measure_rejects(degree_max, height_max, threshold):
+    # every candidate through mahler_measure, without the Graeffe skip
+    expected = []
+    for d in range(1, degree_max + 1):
+        for low in itertools.product(range(-height_max, height_max + 1), repeat=d):
+            if low[0] == 0:
+                continue
+            f = IntPolynomial(list(low) + [1])
+            res = mahler_measure(f)
+            lo, hi = res.value - float(res.error_bound), res.value + float(res.error_bound)
+            if not res.kronecker and lo > 0 and hi < threshold:
+                expected.append(f.coeffs)
+    hits = small_measure_scan(degree_max, height_max, threshold)
+    assert expected
+    assert sorted(f.coeffs for f, _ in hits) == sorted(expected)
+
+
+def _graeffe_cases():
+    draw = random.Random(13)
+    polys = [[draw.randint(-3, 3) for _ in range(degree)] + [draw.choice([1, -1, 2, -3])]
+             for degree in range(1, 21) for _ in range(3)]
+    polys.append([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])  # Lehmer's polynomial
+    for orders in ((1, 1, 3, 12), (5, 8, 9), (2, 2, 2, 7), (4, 6, 10, 15)):
+        f = IntPolynomial([1])
+        for k in orders:
+            f = f * cyclotomic_polynomial(k)
+        polys.append(list(f.coeffs))
+    return polys
+
+
+@pytest.mark.parametrize("coeffs", _graeffe_cases(), ids=lambda c: f"deg{len(c) - 1}")
+def test_graeffe_bounds_never_exceed_the_measure(coeffs):
+    truth = oracle_log_measure(coeffs)
+    d = len(coeffs) - 1
+    bounds = list(mahler._graeffe_lower_bounds(coeffs, 8))
+    assert len(bounds) == 9
+    for k, bound in enumerate(bounds):
+        assert bound <= truth
+        # and not far below: M(g) <= ||g||_1 <= (d + 1) max |c_j|
+        slack = (math.log(d + 1) + math.log(math.comb(d, d // 2))) / 2**k
+        assert truth - bound <= slack + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # the Weierstrass-disk certification against an exact rational oracle
 
@@ -428,6 +474,12 @@ def _oracle_root_contribution(poly):
         return float(sum(mpmath.log(abs(r)) for r in roots if abs(r) > 1))
 
 
+def _oracle_roots(poly):
+    """Machine-precision roots of poly from mpmath.polyroots."""
+    roots = mpmath.polyroots(list(reversed(poly.coeffs)), maxsteps=200, extraprec=60)
+    return [complex(r) for r in roots]
+
+
 def test_certify_matches_fraction_oracle(monkeypatch):
     # squarefree factors of degree 2..12: aberth certifies in the double
     # stage, durand_kerner works in mpmath from the start
@@ -453,7 +505,7 @@ def test_certify_rough_approximations_match_fraction_oracle():
     for f in polys + [cluster, cluster * IntPolynomial([1, 1, 2])]:
         for eps in (0.3, 1e-2, 1e-4):
             zs = [z * complex(1 + draw.uniform(-eps, eps), draw.uniform(-eps, eps))
-                  for z in mahler._initial_roots(f)]
+                  for z in _oracle_roots(f)]
             with mpmath.workdps(40):
                 fine = [mpmath.mpc(z) * (1 + mpmath.mpf(draw.uniform(-1e-9, 1e-9))) for z in zs]
             for approx in (zs, fine):
@@ -464,7 +516,7 @@ def test_certify_rough_approximations_match_fraction_oracle():
 def test_coincident_approximations_still_enclose_the_measure():
     for f in (IntPolynomial([-1, -1, 0, 1]), IntPolynomial([3, -1, 2, 0, 5, 2])):
         truth = _oracle_root_contribution(f)
-        roots = mahler._initial_roots(f)
+        roots = _oracle_roots(f)
         with mpmath.workdps(40):
             fine = [mpmath.mpc(z) for z in roots]
         for zs in (roots, fine):
@@ -499,18 +551,20 @@ def test_huge_coefficient_measure(schedule):
 
 
 @pytest.mark.parametrize("schedule", ["aberth", "durand_kerner"])
-def test_huge_coefficient_cubic_certifies_or_gives_up(schedule):
-    # t^3 + 10^400 t + 3: roots near +-10^200 i and -3 * 10^-400; the
-    # refinement may give up, but within its budget and with the measure's
-    # own error, never an arithmetic crash
-    start = time.perf_counter()
-    try:
-        res = mahler_measure(IntPolynomial([3, _HUGE, 0, 1]), schedule=schedule)
-    except IndeterminateMeasureError:
-        pass
-    else:
-        assert abs(res.value - 400 * math.log(10)) <= float(res.error_bound) + 1e-9
-    assert time.perf_counter() - start < 10.0
+def test_widely_spread_root_moduli_certify(schedule):
+    # t^3 + 10^400 t + 3: the Newton-polygon starts put the pair near
+    # +-10^200 i and the root near -3 * 10^-400 on their own circles
+    value, seconds = _cold_call_seconds(
+        "(lambda r: (r.value, str(r.error_bound), r.roots_outside))("
+        f"mahler_measure(IntPolynomial([3, 10**400, 0, 1]), schedule={schedule!r}))")
+    mid, err, outside = ast.literal_eval(value)
+    assert seconds < 2.0
+    assert outside == 2
+    with mpmath.workdps(40):
+        truth = 400 * mpmath.log(10)
+        err = Fraction(err)
+        assert mid - mpmath.mpf(err.numerator) / err.denominator <= truth
+        assert truth <= mid + mpmath.mpf(err.numerator) / err.denominator
 
 
 def test_huge_coefficient_cli_exit_codes():
@@ -518,6 +572,23 @@ def test_huge_coefficient_cli_exit_codes():
     start = time.perf_counter()
     assert run(["mahler", "measure", "--poly", f"1,{_HUGE},1"], stdout=out, stderr=err) == 0
     assert json.loads(out.getvalue())["roots_outside"] == "1"
-    code = run(["mahler", "measure", "--poly", f"3,{_HUGE},0,1"], stdout=out, stderr=err)
-    assert code == 0 or (code == 3 and err.getvalue().startswith("budget error:"))
+    assert run(["mahler", "measure", "--poly", f"3,{_HUGE},0,1"], stdout=out, stderr=err) == 0
     assert time.perf_counter() - start < 15.0
+
+
+def test_no_numpy_on_any_path():
+    # both schedules, the scan and a rational entropy through the CLI
+    code = (
+        "import io, sys\n"
+        "from algentropy.cli import run\n"
+        "from algentropy.mahler import mahler_measure, small_measure_scan\n"
+        "from algentropy.polynomial import IntPolynomial\n"
+        "lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])\n"
+        "for schedule in ('aberth', 'durand_kerner'):\n"
+        "    assert not mahler_measure(lehmer, schedule=schedule).exact\n"
+        "assert small_measure_scan(6, threshold=0.5)\n"
+        "out = io.StringIO()\n"
+        "assert run(['entropy', 'halg', '--matrix', '[[1/2,3],[2,-1/3]]'], stdout=out) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).split() == ["False"]
