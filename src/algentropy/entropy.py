@@ -20,7 +20,9 @@ Computation paths
   Algebra 219, 2015), 0 for a rank increment.  On a shift group or a
   sequence space it stops at the first window state K_{n+1} = K_n (the
   part of T_n beyond the seed's first n places); every later state, and
-  so every later value, is the same.  A plateau is never taken for the
+  so every later value, is the same.  One loop, given a reducer and a
+  place width, computes the states; on a shift group they are Hermite
+  forms, so T_n is never enumerated.  A plateau is never taken for the
   limit (480, 480, 480, then 160 on a 4x4 map), and a sequence that
   does not reach its limit within ``max_steps`` raises.
 * ``leading_coefficient``: intrinsic entropy as log of the leading
@@ -46,6 +48,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, pairwise
 
 from .abelian import Endo, Subgroup
@@ -284,27 +287,23 @@ def _index_stabilized(phi, h, cfg):
     return _log_report(seen[-1], "stabilization", len(seen))
 
 
-def _shift_window(elems, place):
-    """The elements supported at places >= ``place``, shifted back there."""
-    return frozenset(
-        tuple((pos - place, c) for pos, c in x.support)
-        for x in elems if not x.support or x.support[0][0] >= place
-    )
-
-
 def _shift_stabilized(group, gens, cfg):
-    # a_n = |T_{n+1}/T_n| is fixed by the window state K_n, the part of
-    # T_n at places >= p_0 + n for p_0 the seed's first place.  One map,
-    # the same for every n, sends K_n to K_{n+1}, so the first n with
-    # K_{n+1} = K_n fixes every later a_m
+    # K_n is a lattice with the cell relations, so a_n = |F + K_n| / |K_n|
+    # is the ratio of two full-rank Hermite forms' diagonal products
     gens = _shift_gens(group, gens)
-    first = min((g.support[0][0] for g in gens if g.support), default=0)
-    sets = _shift_trajectory(group, gens, cfg.element_cap)
-    states = ((len(t), _shift_window(t, first + n)) for n, t in enumerate(sets, 1))
-    steps = ((big // small, state == later)
-             for (small, state), (big, later) in pairwise(states))
-    seen = _stabilize(steps, cfg, "index sequence", operator.itemgetter(1))
-    return _log_report(seen[-1][0], "stabilization", len(seen))
+    occupied = [pos for g in gens for pos, _ in g.support]
+    places = range(min(occupied, default=0), max(occupied, default=-1) + 1)
+    if (len(places) * group.cell.dim) ** 2 > cfg.element_cap:
+        raise BudgetExceededError("the seed's window lattice exceeds the element cap")
+    rows, relations = _shift_lattice(group, gens, places)
+    reduce = partial(_cell_hnf, relations=relations)
+    f = reduce(rows)
+    seen = _stabilize(pairwise(_window_states(reduce, group.cell.dim, f)), cfg,
+                      "index sequence", lambda pair: pair[0] == pair[1])
+    state = seen[-1][0]
+    dets = [math.prod(r[i] for i, r in enumerate(h))
+            for h in (state, reduce(f + state))]
+    return _log_report(Fraction(*dets), "stabilization", len(seen))
 
 
 def ent(phi, config=None):
@@ -418,26 +417,29 @@ def i_entropy(phi, seed, plugin, config=None):
     )
 
 
-def _window_states(space, f):
+def _window_states(reduce, width, f):
     """K_1, K_2, ... for T_n = F + shift(F) + ... + shift^{n-1}(F).
 
-    F is a reduced basis in places [0, m); K_n is the part of T_n in
-    places [n, n + m - 1), shifted back to the start, so the n-th
-    increment of dim T_n is dim(F + K_n) - dim K_n.  K_{n+1} is the part
-    of F + K_n that vanishes at place 0, shifted back one place (K_0 = 0).
+    F is a basis in places [0, m) of ``width`` columns each, in the
+    echelon form ``reduce`` gives; K_n is the part of T_n in places
+    [n, n + m - 1), shifted back to the start, so the n-th increment is
+    that of F + K_n over K_n.  K_{n+1} is the part of F + K_n that
+    vanishes at place 0, shifted back one place (K_0 = 0).
     The K_n grow, and once K_{n+1} = K_n every later one is the same.
     """
     state = ()
     while True:
-        # in reduced echelon form every row but the first is 0 at place 0
-        state = space.reduce(v[1:] for v in space.reduce(f + state) if not v[0])
+        # in echelon form the rows zero at place 0 span the part zero
+        # there; rotating such a row shifts it back one place
+        state = reduce(v[width:] + v[:width] for v in reduce(f + state)
+                       if not any(v[:width]))
         yield state
 
 
 def _space_stabilized(space, seed, cfg):
     f = space.reduce(seed)
-    seen = _stabilize(pairwise(_window_states(space, f)), cfg, "increments",
-                      lambda pair: pair[0] == pair[1])
+    seen = _stabilize(pairwise(_window_states(space.reduce, 1, f)), cfg,
+                      "increments", lambda pair: pair[0] == pair[1])
     state = seen[-1][0]
     return _increment_report(space.dim(f + state) - len(state), len(seen))
 
@@ -489,27 +491,45 @@ def _limit_free_shift(group, gens):
     if all(g.is_zero() for g in gens):
         return _log_report(1, "limit_free")
     # <gens> contains the copy at position 0 iff its integer rows lie in
-    # the lattice of the generators' rows and the cell relations, over
-    # places x cell coordinates; only places that occur get a column block
+    # the lattice of the generators' rows and the cell relations; only
+    # places that occur get a column block
+    places = sorted({0} | {pos for g in gens for pos, _ in g.support})
+    rows, relations = _shift_lattice(group, gens + group.first_coordinate_copy(), places)
+    span = _cell_hnf(rows[:len(gens)], relations)
+    if all(in_lattice(row, span) for row in rows[len(gens):]):
+        # T = the whole direct sum; coker of the shift is one cell, kernel 0
+        return _log_report(group.cell.order(), "symbolic_shift")
+    raise DomainError("trajectory neither finite nor symbolic")
+
+
+def _shift_lattice(group, elems, places):
+    """Integer rows of ``elems`` over ``places`` x cell coordinates, and
+    the cell's relation diagonal over the same columns."""
     factors = group.cell.invariant_factors
     width = len(factors)
-    places = {0} | {pos for g in gens for pos, _ in g.support}
-    block = {pos: k * width for k, pos in enumerate(sorted(places))}
+    block = {pos: k * width for k, pos in enumerate(places)}
     size = width * len(places)
 
     def row(elem):
         out = [0] * size
         for pos, coords in elem.support:
             out[block[pos]:block[pos] + width] = coords
-        return out
+        return tuple(out)
 
     relations = [[factors[i % width] if j == i else 0 for j in range(size)]
                  for i in range(size)]
-    span = hnf([row(g) for g in gens] + relations)
-    if all(in_lattice(row(e), span) for e in group.first_coordinate_copy()):
-        # T = the whole direct sum; coker of the shift is one cell, kernel 0
-        return _log_report(group.cell.order(), "symbolic_shift")
-    raise DomainError("trajectory neither finite nor symbolic")
+    return [row(e) for e in elems], relations
+
+
+def _cell_hnf(rows, relations):
+    """hnf(rows + relations), with each row folded in on its own, which
+    keeps the entries below the moduli; all rows at once swell."""
+    span = hnf(relations)
+    known = set(span)
+    for row in rows:
+        if row not in known:
+            span = hnf(span + (row,))
+    return span
 
 
 def _cotrajectory_ops(phi, h):

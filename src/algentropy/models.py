@@ -5,9 +5,9 @@ interesting dynamics happen on three computable infinite models:
 
 * :class:`ShiftGroup`, the direct sum of countably many copies of a finite
   abelian cell, carrying the right shift.  Elements are finitely supported;
-  a finite subgroup F is saturated once, and its trajectory grows by
-  setwise sums T_{n+1} = T_n + beta^n(F), one coset of T_n per shifted
-  element not yet reached, under a hard element cap.
+  the trajectory of a finite F grows by setwise sums T_{n+1} = T_n + beta^n(F),
+  one coset per new shifted element, under an element cap.  The shift
+  entropies enumerate nothing; the cap bounds their lattices' entries.
 * :class:`LinearShiftSpace`, finitely supported sequences over GF(p) or
   the rationals, where the subadditive invariant is a dimension.
 * :class:`CylinderFamily`, the chain of cylinder subgroups of the full

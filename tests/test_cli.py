@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -358,6 +359,19 @@ def test_limitfree_shift_with_many_positions():
     assert code == 2 and out == "" and "domain error" in err
 
 
+def test_limitfree_shift_dense_seed_time_regression():
+    # the Hermite form of all 24 dense rows and the relations at once had
+    # not finished after 90 s on a 2-core machine (20 s at 16 rows)
+    draw = random.Random(0)
+    gens = [{str(p): [draw.randrange(2), draw.randrange(4)] for p in range(24)}
+            for _ in range(24)]
+    start = time.perf_counter()
+    code, out, err = invoke("entropy", "limitfree", "--cell", "Z/2 x Z/4",
+                            "--gens", json.dumps(gens))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "domain error" in err
+
+
 def test_config_flags_accepted_after_subcommand():
     # the 4x4 map's index sequence reaches its limit at step 4
     argv = ("entropy", "stabilized", "--matrix", MAP_4X4, "--sub", IDENTITY_4)
@@ -385,7 +399,13 @@ def test_window_flag_is_gone(monkeypatch):
     # a window of 3 built T_4 of 5^8 elements in 5.1 s on a 2-core machine
     ("b = ShiftGroup(FgAbGroup([5, 5]))\n"
      "value = str(h_alg_stabilized(b, b.first_coordinate_copy()).log_of)", "25"),
-], ids=["ent-Z/64", "halg-(Z/5)^2"])
+    # reading K_n off the element sets passed the element cap after 13 s
+    # (Z/1024) and 25 s (Z/2^64) on a 2-core machine
+    ("run(['entropy', 'ent', '--cell', 'Z/1024'], out, sys.stderr)\n"
+     "value = json.loads(out.getvalue())['log_of']", "1024"),
+    ("run(['entropy', 'ent', '--cell', 'Z/18446744073709551616'], out, sys.stderr)\n"
+     "value = json.loads(out.getvalue())['log_of']", "18446744073709551616"),
+], ids=["ent-Z/64", "halg-(Z/5)^2", "ent-Z/1024", "ent-Z/2^64"])
 def test_large_bernoulli_cells_time_regression(call, expected):
     # a fresh process, so no cache from other tests helps
     code = (

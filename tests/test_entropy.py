@@ -47,6 +47,7 @@ from algentropy.errors import (
     UnsupportedAmbientError,
 )
 from algentropy.inertia import almost_contained, inert_index
+from algentropy.intlinalg import hnf
 from algentropy.models import CylinderFamily, LinearShiftSpace, ShiftGroup
 from algentropy.rational import RationalEndo, RationalLattice, lattice_index
 
@@ -304,7 +305,7 @@ def _window_dims(space, seed, steps):
     """dim T_1, ..., dim T_steps read off the window states."""
     f = space.reduce(seed)
     dims = [len(f)]
-    for state in islice(entropy._window_states(space, f), steps - 1):
+    for state in islice(entropy._window_states(space.reduce, 1, f), steps - 1):
         dims.append(dims[-1] + space.dim(f + state) - len(state))
     return dims
 
@@ -354,7 +355,7 @@ def test_sequence_space_stop_matches_the_pooled_reduction(p):
         assert report.exact_value == (1 if any(space.vector(v) for v in seed) else 0)
         assert not report.heuristic
         # the stop is the first n with K_{n+1} = K_n, within the seed's width
-        states = list(islice(entropy._window_states(space, space.reduce(seed)), 8))
+        states = list(islice(entropy._window_states(space.reduce, 1, space.reduce(seed)), 8))
         first = next(n for n in range(1, 8) if states[n - 1] == states[n])
         assert report.steps_used == first <= max(map(len, seed), default=0) + 1
 
@@ -798,6 +799,48 @@ def test_sumset_growth_steps_capped_by_max_steps():
     assert len(sumset_growth(Endo(z, [[1]]), [[0], [1]], 8, config=cfg)) == 8
     with pytest.raises(BudgetExceededError):
         sumset_growth(Endo(z, [[1]]), [[0], [1]], 9, config=cfg)
+
+
+def test_shift_window_states_time_regression():
+    # reading K_n off the element sets T_n passed the element cap after
+    # 29 s on the Z/8 seed and got no answer within 100 s on a dense
+    # seed over Z/2 x Z/4 (12 places) on a 2-core machine
+    b8 = ShiftGroup(FgAbGroup([8]))
+    start = time.perf_counter()
+    report = h_alg_stabilized(b8, [b8.element({1: [2], 3: [1]})])
+    assert time.perf_counter() - start < 0.1
+    assert (report.log_of, report.steps_used) == (8, 6)
+    b2 = ShiftGroup(FgAbGroup([2]))
+    start = time.perf_counter()
+    report = h_alg_stabilized(b2, [b2.element({0: [1], 120: [1]})])
+    assert time.perf_counter() - start < 0.5
+    assert (report.log_of, report.steps_used) == (2, 1)
+    # the window lattice's (places x cell rank)^2 entries stay under the
+    # element cap: 10^10 of them here
+    with pytest.raises(BudgetExceededError):
+        h_alg_stabilized(b2, [b2.element({0: [1], 100000: [1]})])
+    assert time.perf_counter() - start < 0.5
+    b = ShiftGroup(FgAbGroup([2, 4]))
+    draw = random.Random(0)
+    gens = [b.element({p: [draw.randrange(2), draw.randrange(4)] for p in range(30)})
+            for _ in range(30)]
+    start = time.perf_counter()
+    report = h_alg_stabilized(b, gens)
+    assert time.perf_counter() - start < 2.0
+    assert report.log_of == 8
+
+
+def test_cell_hnf_matches_the_plain_hermite_form():
+    # folding rows one at a time into the relations against hnf of all
+    # rows at once, which does not swell at this size
+    draw = random.Random("cell-hnf")
+    cells = [[m] for m in range(2, 10)] + [[2, 2], [2, 4], [3, 3]]
+    for trial in range(110):
+        b = ShiftGroup(FgAbGroup(cells[trial % len(cells)]))
+        _, relations = entropy._shift_lattice(b, (), range(draw.randint(1, 6)))
+        rows = [tuple(draw.choice([0, 0, draw.randint(-9, 9)]) for _ in relations)
+                for _ in range(draw.randint(0, 5))]
+        assert entropy._cell_hnf(rows, relations) == hnf(rows + relations), rows
 
 
 @pytest.mark.parametrize("factors", [[16], [4, 4]], ids=str)

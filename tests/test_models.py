@@ -2,12 +2,13 @@
 
 import random
 import time
-from itertools import count, pairwise
+from itertools import count, islice, pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algentropy import entropy
 from algentropy.abelian import FgAbGroup
 from algentropy.entropy import h_alg_stabilized, i_entropy, trajectory
 from algentropy.errors import AmbientMismatchError, BudgetExceededError, DomainError
@@ -143,9 +144,10 @@ def _window_state(elems, place):
 
 
 def _closure_indices(group, gens, sets, beyond=1):
-    """a_1, a_2, ... from the closures of the shifted generators, and the
-    first n with K_{n+1} = K_n.  The closures stop at T_``sets``, or
-    ``beyond`` indices past that n, whichever comes later."""
+    """a_1, a_2, ... from the closures of the shifted generators, the
+    first n with K_{n+1} = K_n, and K_1, K_2, ... as element sets.  The
+    closures stop at T_``sets``, or ``beyond`` indices past that n,
+    whichever comes later."""
     first = min(pos for g in gens for pos, _ in g.support)
     closures, states, stop = [], [], None
     for n in count(1):
@@ -155,7 +157,7 @@ def _closure_indices(group, gens, sets, beyond=1):
         states.append(_window_state(closures[-1], first + n))
         if stop is None and n > 1 and states[-2] == states[-1]:
             stop = n - 1
-    return [len(b) // len(a) for a, b in pairwise(closures)], stop
+    return [len(b) // len(a) for a, b in pairwise(closures)], stop, states
 
 
 def _assert_shift_stop(group, gens, seq, stop):
@@ -170,7 +172,27 @@ def test_shift_stabilization_matches_closure_of_shifts(factors):
     # one generator, and one index past the stop
     group = ShiftGroup(FgAbGroup(factors))
     gens = _spread_generators(group, 3, 1)
-    _assert_shift_stop(group, gens, *_closure_indices(group, gens, 2))
+    seq, stop, _ = _closure_indices(group, gens, 2)
+    _assert_shift_stop(group, gens, seq, stop)
+
+
+def _lattice_window_sets(group, gens, steps):
+    """K_1, ..., K_steps from the entropy's Hermite-form window states over
+    the seed's places x cell coordinates, each mapped to its element set."""
+    occupied = [pos for g in gens for pos, _ in g.support]
+    width = group.cell.dim
+    rows, relations = entropy._shift_lattice(
+        group, gens, range(min(occupied), max(occupied) + 1))
+
+    def reduce(rows):
+        return entropy._cell_hnf(rows, relations)
+
+    sets = []
+    for state in islice(entropy._window_states(reduce, width, reduce(rows)), steps):
+        elems = [group.element({k: row[k * width:(k + 1) * width]
+                                for k in range(len(row) // width)}) for row in state]
+        sets.append({x.support for x in group.closure(elems)})
+    return sets
 
 
 def test_shift_stop_holds_for_eight_closure_steps():
@@ -189,9 +211,11 @@ def test_shift_stop_holds_for_eight_closure_steps():
             offset + pos: [draw.randrange(1, factors[0])] + [draw.randrange(d) for d in factors[1:]]
             for pos in draw.sample(range(5 if factors == [2] else 3), draw.randint(1, 3))
         }) for _ in range(size)]
-        seq, stop = _closure_indices(group, gens, 8)
+        seq, stop, states = _closure_indices(group, gens, 8)
         assert len(seq) >= 7
         _assert_shift_stop(group, gens, seq, stop)
+        # the lattice window states are the closures' windows, step by step
+        assert _lattice_window_sets(group, gens, 8) == states[:8], gens
         stops.add(stop)
     assert stops == {1, 2, 3, 4}
 
