@@ -2,14 +2,15 @@
 
 For f = s (t - l_1) ... (t - l_d) the measure is
 m(f) = log|s| + sum_{|l_i| > 1} log|l_i|.  The pipeline is exact as far
-as it can be: content and t-powers split off, rational roots extracted,
-cyclotomic factors removed by exact division, square-free splitting by
-Yun's algorithm.  Only the root moduli of the surviving factors are
-numeric, and even there the error bound is rigorous: approximations get
-Weierstrass disks D(z_i, d*|W_i|) whose radii are bounded in integer
-arithmetic on the exact dyadic values of the points (a connected
-component of m disks contains exactly m roots), so the returned interval
-always contains the true measure.
+as it can be: content and t-powers split off, then one pass over the
+square-free factors of Yun's algorithm removes from each its cyclotomic
+factors by exact division and then its rational roots, found by p-adic
+lifting (see :mod:`algentropy.polynomial`).  Only the root moduli of the
+surviving factors are numeric, and even there the error bound is
+rigorous: approximations get Weierstrass disks D(z_i, d*|W_i|) whose
+radii are bounded in integer arithmetic on the exact dyadic values of
+the points (a connected component of m disks contains exactly m roots),
+so the returned interval always contains the true measure.
 
 Two refinement schedules are available ("aberth" over machine complex
 numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
@@ -55,8 +56,8 @@ from .config import default_config
 from .errors import DomainError, BudgetExceededError, IndeterminateMeasureError
 from .polynomial import (
     IntPolynomial,
+    _squarefree_rational_roots,
     exact_div,
-    rational_roots,
     squarefree_decomposition,
     x_power_minus_one,
 )
@@ -617,17 +618,18 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
     work = f.primitive()
     _, work = work.strip_t_power()
     outside = 0
-    if use_exact_paths and work.degree > 0:
-        roots, work = rational_roots(work)
-        for r, mult in roots:
-            exact_q *= Fraction(max(abs(r.numerator), abs(r.denominator))) ** mult
-            if abs(r) > 1:
-                outside += mult
     numeric = []
     if work.degree > 0:
         for factor, mult in squarefree_decomposition(work):
             if use_exact_paths:
+                # peel first: the root search then never sees +-1
                 factor, _ = _peel_cyclotomics(factor)
+                if factor.degree > 0:
+                    roots, factor = _squarefree_rational_roots(factor)
+                    for r in roots:
+                        exact_q *= Fraction(max(abs(r.numerator), r.denominator)) ** mult
+                        if abs(r) > 1:
+                            outside += mult
             if factor.degree > 0:
                 numeric.append((factor, mult))
     if not numeric:
@@ -734,6 +736,11 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     reaches the threshold.  Every other candidate
     goes to :func:`mahler_measure`, so every returned measure is certified
     and measure zero is decided exactly.
+
+    M is the same on f, on (-1)^d f(-t) and, when |f(0)| = 1, on the
+    monic reversal f(0) t^d f(1/t), so each such orbit is measured once
+    and its members share one result: polynomials of equal measure come
+    out sorted by their coefficients, not by rounding noise.
     """
     cfg = config or default_config()
     total = sum((2 * height_max + 1) ** d for d in range(1, degree_max + 1))
@@ -742,6 +749,7 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
             f"scan of {total} polynomials exceeds the element cap {cfg.element_cap}"
         )
     found = []
+    measured = {}  # orbit key -> the one measure its members share
     for d in range(1, degree_max + 1):
         for low in _coeff_tuples(d, height_max):
             if low[0] == 0:
@@ -749,8 +757,11 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
             coeffs = list(low) + [1]
             if any(b >= threshold for b in _graeffe_lower_bounds(coeffs, _SCAN_SQUARINGS)):
                 continue
+            key = _orbit_key(coeffs)
+            res = measured.get(key)
+            if res is None:
+                res = measured[key] = mahler_measure(IntPolynomial(key), config=cfg)
             poly = IntPolynomial(coeffs)
-            res = mahler_measure(poly, config=cfg)
             if res.kronecker:
                 continue
             if res.value - float(res.error_bound) <= 0:
@@ -759,6 +770,17 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
                 found.append((poly, res))
     found.sort(key=lambda pr: (pr[1].value, pr[0].coeffs))
     return found
+
+
+def _orbit_key(coeffs):
+    """Least coefficient tuple among the monic images of f under t -> -t
+    and, when |f(0)| = 1, reversal; all of them have f's measure."""
+    d = len(coeffs) - 1
+    orbit = [tuple(coeffs)]
+    if abs(coeffs[0]) == 1:
+        orbit.append(tuple(coeffs[0] * a for a in reversed(coeffs)))
+    orbit += [tuple((-1) ** (d - i) * a for i, a in enumerate(c)) for c in orbit]
+    return min(orbit)
 
 
 def _coeff_tuples(d, h):

@@ -11,12 +11,20 @@ p = 2^61 - 1.  When p does not divide lc(f), a repeated factor h^2 of f
 over Z stays a repeated factor of nonzero degree mod p, so a unit gcd
 mod p proves f square-free and it is returned whole; only the other
 inputs run Yun's algorithm over Z.
+
+:func:`rational_roots` enumerates no divisors.  On each square-free
+factor it lifts the roots modulo a small prime p-adically (Loos, SIAM J.
+Comput. 12, 1983) until the lift determines a root's numerator over the
+leading coefficient, and confirms each candidate exactly, so its cost is
+polynomial in the bit size of the coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .base import _is_prime
 
 __all__ = [
     "IntPolynomial",
@@ -314,26 +322,88 @@ def squarefree_decomposition(f):
 def rational_roots(f):
     """All rational roots with multiplicity, plus the rootless cofactor.
 
-    Returns (roots, g) where roots is a list of (Fraction, multiplicity)
-    and g is the primitive polynomial left after dividing the roots out.
-    Assumes f(0) != 0 (strip t powers first).
+    Returns (roots, g) where roots is a list of (Fraction, multiplicity),
+    sorted by root, and g is the primitive polynomial left after dividing
+    the roots out.  Assumes f(0) != 0 (strip t powers first).
+
+    The candidates come from p-adic lifting, one square-free factor at a
+    time (see :func:`_squarefree_rational_roots`), so no divisor of a_0
+    or a_n is ever enumerated.
+
+    >>> rational_roots(IntPolynomial([-3, -11, -8, 4]))   # (2t + 1)^2 (t - 3)
+    ([(Fraction(-1, 2), 2), (Fraction(3, 1), 1)], IntPolynomial(1,))
     """
     if f.is_zero() or f.constant == 0:
         raise ValueError("rational_roots expects a nonzero constant term")
     g = f.primitive()
     roots = []
-    for p in sorted(_divisors(abs(g.constant))):
-        for q in sorted(_divisors(abs(g.leading))):
-            if math.gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                mult = 0
-                while g.degree > 0 and _homogeneous_value(g, num, q) == 0:
-                    g = exact_div(g, IntPolynomial([-num, q])).primitive()
-                    mult += 1
-                if mult:
-                    roots.append((Fraction(num, q), mult))
+    for h, mult in squarefree_decomposition(g):
+        for r in _squarefree_rational_roots(h)[0]:
+            # Yun's factor h_i holds exactly the roots of multiplicity i
+            for _ in range(mult):
+                g = exact_div(g, IntPolynomial([-r.numerator, r.denominator]))
+            roots.append((r, mult))
+    roots.sort()
     return roots, g
+
+
+def _squarefree_rational_roots(h):
+    """Rational roots of a square-free primitive h with h(0) != 0.
+
+    Returns (roots, q): the roots as a list of Fractions and the
+    primitive cofactor q = h / prod(den*t - num).
+
+    Loos's p-adic method (SIAM J. Comput. 12, 1983): take the least
+    prime p that does not divide lc = lc(h) and at which every root of h
+    mod p, found by evaluation, is simple, and Newton-lift each root to a
+    modulus above 2(lc + max|a_i|).  A rational root r/s of h has s | lc,
+    so p does not divide s and r/s reduces to a simple root mod p; its
+    lift is unique, and lc*r/s is an integer of modulus at most
+    lc + max|a_i| (Cauchy's bound), so the symmetric residue of lc times
+    the lift is lc*r/s itself.  Each candidate is confirmed exactly.
+    Only primes dividing lc(h) disc(h) fail, so the search ends.
+    """
+    cs = h.coeffs
+    if len(cs) == 2:
+        r = Fraction(-cs[0], cs[1])
+        return [r], IntPolynomial([1])
+    lc = cs[-1]
+    dcs = h.derivative().coeffs
+    p = 2
+    while True:
+        if lc % p:
+            zeros = [x for x in range(p) if not _horner_mod(cs, x, p)]
+            if all(_horner_mod(dcs, x, p) for x in zeros):
+                break
+        p += 1
+        while not _is_prime(p):
+            p += 1
+    bound = 2 * (lc + max(abs(c) for c in cs))
+    roots = []
+    for x in zeros:
+        m = p
+        while m <= bound:
+            # Newton's step doubles the p-adic precision of a simple root
+            inv = pow(_horner_mod(dcs, x, m), -1, m)
+            m *= m
+            x = (x - _horner_mod(cs, x, m) * inv) % m
+        v = lc * x % m
+        if 2 * v > m:
+            v -= m
+        r = Fraction(v, lc)
+        if _homogeneous_value(h, r.numerator, r.denominator) == 0:
+            roots.append(r)
+    for r in roots:
+        h = exact_div(h, IntPolynomial([-r.numerator, r.denominator]))
+    return roots, h
+
+
+def _horner_mod(coeffs, x, m):
+    """sum coeffs[i] x^i mod m."""
+    acc = 0
+    for a in reversed(coeffs):
+        acc = (acc * x + a) % m
+    return acc
 
 
 def _homogeneous_value(f, p, q):
@@ -343,15 +413,3 @@ def _homogeneous_value(f, p, q):
         acc = acc * p + a * q_power
         q_power *= q
     return acc
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .base import INFINITE
 from .errors import AmbientMismatchError, NonInvertibleError
 from . import intlinalg as ila
 from .polynomial import IntPolynomial
@@ -206,15 +207,28 @@ def lattice_intersect(a, b):
 def lattice_index(a, b):
     """[L_a : L_a ∩ L_b], an exact int or INFINITE.
 
+    By the second isomorphism theorem [A : A ∩ B] = [A + B : B].  When
+    A + B has the rank of B, the echelon bases of A + B and of B share
+    their pivot columns, so the index is the ratio of their pivot
+    products; otherwise A ∩ B has lower rank than A and the index is
+    infinite.  One Hermite form, of A + B, does the work.
+
     >>> one = RationalLattice.from_rows(1, [[1]])
     >>> half = RationalLattice.from_rows(1, [[Fraction(3, 2)]])
     >>> lattice_index(one, half)
     3
     """
     _same_dim(a, b)
-    den, ra, rb = _common_scale(a, b)
-    meet = ila.lattice_intersect(ra, rb, a.ambient_dim)
-    return ila.index_in(ra, meet)
+    _, ra, rb = _common_scale(a, b)
+    total = ila.lattice_sum(ra, rb)
+    if len(total) != len(rb):
+        return INFINITE
+    return _pivot_product(rb) // _pivot_product(total)
+
+
+def _pivot_product(rows):
+    """Product of the leading entries of echelon rows."""
+    return math.prod(next(x for x in row if x) for row in rows)
 
 
 class RationalEndo:

@@ -426,6 +426,30 @@ def test_large_bernoulli_cells_time_regression(call, expected):
     assert float(seconds) < 1.0
 
 
+def test_rational_roots_of_a_large_constant_term_time_regression():
+    # trial division over the divisors of 10^18 + 3 had not finished
+    # after 45 s on a 2-core machine
+    code = (
+        "import io, sys, time\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "code = run(['mahler', 'measure', '--poly', '1000000000000000003,1,1'], out, sys.stderr)\n"
+        "print(code, time.perf_counter() - start)\n"
+        "print(out.getvalue())\n"
+    )
+    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    status, payload = done.stdout.split("\n", 1)
+    exit_code, seconds = status.split()
+    assert exit_code == "0"
+    assert float(seconds) < 1.0
+    # both roots have modulus sqrt(10^18 + 3)
+    assert math.isclose(float(json.loads(payload)["value"]), math.log(10**18 + 3))
+
+
 def test_readme_examples_byte_identical():
     # every "$ algentropy ..." line of the README, against the line under it
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()

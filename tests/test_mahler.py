@@ -315,6 +315,17 @@ def test_scan_finds_golden_ratio_polynomial():
     assert values == sorted(values)
 
 
+def test_scan_orbit_members_share_one_measure():
+    # Lehmer's polynomial and its image under t -> -t, then another pair:
+    # equal measures, so the order comes from the coefficients alone
+    hits = small_measure_scan(degree_max=10, height_max=1, threshold=0.2)
+    assert len(hits) == 4
+    (f1, r1), (f2, r2), (f3, r3), (f4, r4) = hits
+    assert r1 == r2 and r3 == r4 and r1.value < r3.value
+    assert f1.coeffs < f2.coeffs and f3.coeffs < f4.coeffs
+    assert (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1) in (f1.coeffs, f2.coeffs)
+
+
 def test_scan_respects_threshold():
     hits = small_measure_scan(degree_max=2, height_max=1, threshold=0.2)
     assert hits == []

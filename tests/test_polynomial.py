@@ -151,6 +151,11 @@ def test_squarefree_decomposition_with_lc_a_multiple_of_the_prime():
 @example([-3, 3, 0, -6, -3])
 @example([-3, -11, -8, 4])  # (2t + 1)^2 (t - 3): a repeated non-integer root
 @example([1, 0, -8, 0, 16])  # (2t - 1)^2 (2t + 1)^2
+# (6t - 35)^2 (10^12 t + 7)
+@example([8575, 1224999999997060, -419999999999748, 36000000000000])
+# (2t - 1)(3t + 1)(5t - 2)(7t + 3): lc = 2*3*5*7, and two roots meet mod 11 and mod 13
+@example([6, 5, -72, -29, 210])
+@example([10**18 + 3, 1, 1])
 def test_rational_roots_match_sympy(a):
     f = IntPolynomial(a)
     if f.is_zero() or f.constant == 0:

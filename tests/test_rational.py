@@ -7,6 +7,7 @@ integer combinations of the basis.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algentropy import intlinalg as ila
+from algentropy.base import INFINITE
 from algentropy.errors import AmbientMismatchError, NonInvertibleError
 from algentropy.rational import (
     QSpace,
@@ -80,6 +82,36 @@ def test_lattice_index_known_values():
     assert lattice_index(z2, half) == 1
     line = RationalLattice.from_rows(2, [[1, 0]])
     assert lattice_index(z2, line).__class__.__name__ == "Infinity"
+
+
+def _random_lattice(draw, dim):
+    rank = draw.randint(0, dim)
+    gens = [[Fraction(draw.randint(-6, 6), draw.randint(1, 4)) for _ in range(dim)]
+            for _ in range(rank)]
+    if gens and draw.random() < 0.3:
+        # a dependent generator, so the rank can fall below the count
+        gens.append([2 * x - y for x, y in zip(gens[0], gens[-1])])
+    return RationalLattice.from_rows(dim, gens)
+
+
+def test_lattice_index_matches_meet_route():
+    # the oracle is the route abelian keeps: a kernel for the meet, then index_in
+    draw = random.Random(15)
+    ranks, infinite = set(), 0
+    for _ in range(1500):
+        dim = draw.randint(1, 4)
+        a, b = _random_lattice(draw, dim), _random_lattice(draw, dim)
+        if draw.random() < 0.15:
+            b = RationalLattice.from_rows(dim, a.basis[:-1] if a.rank() else [])
+        den = math.lcm(a.den, b.den)
+        ra = [[x * (den // a.den) for x in row] for row in a.mat]
+        rb = [[x * (den // b.den) for x in row] for row in b.mat]
+        expected = ila.index_in(ra, ila.lattice_intersect(ra, rb, dim))
+        assert lattice_index(a, b) == expected
+        ranks.update((a.rank(), b.rank()))
+        infinite += expected is INFINITE
+    assert ranks == {0, 1, 2, 3, 4}
+    assert infinite > 100
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=2, max_size=2))
