@@ -56,8 +56,8 @@ from .config import default_config
 from .errors import DomainError, BudgetExceededError, IndeterminateMeasureError
 from .polynomial import (
     IntPolynomial,
-    _squarefree_rational_roots,
     exact_div,
+    rational_roots,
     squarefree_decomposition,
     x_power_minus_one,
 )
@@ -625,7 +625,7 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
                 # peel first: the root search then never sees +-1
                 factor, _ = _peel_cyclotomics(factor)
                 if factor.degree > 0:
-                    roots, factor = _squarefree_rational_roots(factor)
+                    roots, factor = rational_roots(factor)
                     for r in roots:
                         exact_q *= Fraction(max(abs(r.numerator), r.denominator)) ** mult
                         if abs(r) > 1:
@@ -737,10 +737,11 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     goes to :func:`mahler_measure`, so every returned measure is certified
     and measure zero is decided exactly.
 
-    M is the same on f, on (-1)^d f(-t) and, when |f(0)| = 1, on the
-    monic reversal f(0) t^d f(1/t), so each such orbit is measured once
-    and its members share one result: polynomials of equal measure come
-    out sorted by their coefficients, not by rounding noise.
+    f and (-1)^d f(-t) have the same root moduli, so each such pair is
+    measured once and shares one result: the two carry one value and
+    come out sorted by their coefficients, not by rounding noise.  (The
+    reversal keeps M but sends each root l to 1/l, which changes
+    ``roots_outside``, so it is measured on its own.)
     """
     cfg = config or default_config()
     total = sum((2 * height_max + 1) ** d for d in range(1, degree_max + 1))
@@ -749,7 +750,7 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
             f"scan of {total} polynomials exceeds the element cap {cfg.element_cap}"
         )
     found = []
-    measured = {}  # orbit key -> the one measure its members share
+    measured = {}  # orbit key -> the one measure f and f(-t) share
     for d in range(1, degree_max + 1):
         for low in _coeff_tuples(d, height_max):
             if low[0] == 0:
@@ -773,14 +774,9 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
 
 
 def _orbit_key(coeffs):
-    """Least coefficient tuple among the monic images of f under t -> -t
-    and, when |f(0)| = 1, reversal; all of them have f's measure."""
+    """The lesser of the coefficient tuples of f and (-1)^d f(-t)."""
     d = len(coeffs) - 1
-    orbit = [tuple(coeffs)]
-    if abs(coeffs[0]) == 1:
-        orbit.append(tuple(coeffs[0] * a for a in reversed(coeffs)))
-    orbit += [tuple((-1) ** (d - i) * a for i, a in enumerate(c)) for c in orbit]
-    return min(orbit)
+    return min(tuple(coeffs), tuple((-1) ** (d - i) * a for i, a in enumerate(coeffs)))
 
 
 def _coeff_tuples(d, h):

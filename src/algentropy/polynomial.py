@@ -12,11 +12,12 @@ over Z stays a repeated factor of nonzero degree mod p, so a unit gcd
 mod p proves f square-free and it is returned whole; only the other
 inputs run Yun's algorithm over Z.
 
-:func:`rational_roots` enumerates no divisors.  On each square-free
-factor it lifts the roots modulo a small prime p-adically (Loos, SIAM J.
-Comput. 12, 1983) until the lift determines a root's numerator over the
-leading coefficient, and confirms each candidate exactly, so its cost is
-polynomial in the bit size of the coefficients.
+:func:`rational_roots` takes one square-free factor at a time and
+enumerates no divisors: it lifts the roots modulo a small prime
+p-adically (Loos, SIAM J. Comput. 12, 1983) until the lift determines a
+root's numerator over the leading coefficient, and confirms each
+candidate exactly, so its cost is polynomial in the bit size of the
+coefficients.
 """
 
 from __future__ import annotations
@@ -319,66 +320,50 @@ def squarefree_decomposition(f):
     return out
 
 
-def rational_roots(f):
-    """All rational roots with multiplicity, plus the rootless cofactor.
+def rational_roots(h):
+    """Rational roots of a square-free h with h(0) != 0, and the cofactor.
 
-    Returns (roots, g) where roots is a list of (Fraction, multiplicity),
-    sorted by root, and g is the primitive polynomial left after dividing
-    the roots out.  Assumes f(0) != 0 (strip t powers first).
-
-    The candidates come from p-adic lifting, one square-free factor at a
-    time (see :func:`_squarefree_rational_roots`), so no divisor of a_0
-    or a_n is ever enumerated.
-
-    >>> rational_roots(IntPolynomial([-3, -11, -8, 4]))   # (2t + 1)^2 (t - 3)
-    ([(Fraction(-1, 2), 2), (Fraction(3, 1), 1)], IntPolynomial(1,))
-    """
-    if f.is_zero() or f.constant == 0:
-        raise ValueError("rational_roots expects a nonzero constant term")
-    g = f.primitive()
-    roots = []
-    for h, mult in squarefree_decomposition(g):
-        for r in _squarefree_rational_roots(h)[0]:
-            # Yun's factor h_i holds exactly the roots of multiplicity i
-            for _ in range(mult):
-                g = exact_div(g, IntPolynomial([-r.numerator, r.denominator]))
-            roots.append((r, mult))
-    roots.sort()
-    return roots, g
-
-
-def _squarefree_rational_roots(h):
-    """Rational roots of a square-free primitive h with h(0) != 0.
-
-    Returns (roots, q): the roots as a list of Fractions and the
-    primitive cofactor q = h / prod(den*t - num).
+    Returns (roots, q): the roots as Fractions in increasing order and
+    q = h / prod(s*t - r) over the roots r/s.  Split f with
+    :func:`squarefree_decomposition` first; a root of its factor h_i has
+    multiplicity i in f.  A repeated rational root raises ValueError.
 
     Loos's p-adic method (SIAM J. Comput. 12, 1983): take the least
     prime p that does not divide lc = lc(h) and at which every root of h
     mod p, found by evaluation, is simple, and Newton-lift each root to a
-    modulus above 2(lc + max|a_i|).  A rational root r/s of h has s | lc,
-    so p does not divide s and r/s reduces to a simple root mod p; its
-    lift is unique, and lc*r/s is an integer of modulus at most
-    lc + max|a_i| (Cauchy's bound), so the symmetric residue of lc times
-    the lift is lc*r/s itself.  Each candidate is confirmed exactly.
-    Only primes dividing lc(h) disc(h) fail, so the search ends.
+    modulus above 2(|lc| + max|a_i|).  A rational root r/s of h has
+    s | lc, so p does not divide s and r/s reduces to a simple root mod
+    p; its lift is unique, and lc*r/s is an integer of modulus at most
+    |lc| + max|a_i| (Cauchy's bound), so the symmetric residue of lc
+    times the lift is lc*r/s itself.  Each candidate is confirmed
+    exactly.  A prime p not dividing lc is rejected only when it divides
+    disc(h), so once the rejected primes multiply past Mahler's bound on
+    |disc(h)|, disc(h) = 0 and h has a repeated factor: the search ends
+    either way.
+
+    >>> rational_roots(IntPolynomial([3, 5, -2]))   # -(2t + 1)(t - 3)
+    ([Fraction(-1, 2), Fraction(3, 1)], IntPolynomial(-1,))
     """
+    if h.is_zero() or h.constant == 0:
+        raise ValueError("rational_roots expects a nonzero constant term")
     cs = h.coeffs
-    if len(cs) == 2:
-        r = Fraction(-cs[0], cs[1])
-        return [r], IntPolynomial([1])
     lc = cs[-1]
     dcs = h.derivative().coeffs
-    p = 2
+    d = h.degree
+    p, rejected = 2, 1
     while True:
         if lc % p:
             zeros = [x for x in range(p) if not _horner_mod(cs, x, p)]
             if all(_horner_mod(dcs, x, p) for x in zeros):
                 break
+            # rejected | disc(h), and |disc(h)| <= d^d ||h||_2^(2d - 2) (Mahler)
+            rejected *= p
+            if rejected > d**d * sum(c * c for c in cs) ** (d - 1):
+                raise ValueError("rational_roots expects a square-free polynomial")
         p += 1
         while not _is_prime(p):
             p += 1
-    bound = 2 * (lc + max(abs(c) for c in cs))
+    bound = 2 * (abs(lc) + max(abs(c) for c in cs))
     roots = []
     for x in zeros:
         m = p
@@ -393,6 +378,7 @@ def _squarefree_rational_roots(h):
         r = Fraction(v, lc)
         if _homogeneous_value(h, r.numerator, r.denominator) == 0:
             roots.append(r)
+    roots.sort()
     for r in roots:
         h = exact_div(h, IntPolynomial([-r.numerator, r.denominator]))
     return roots, h

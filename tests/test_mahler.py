@@ -347,6 +347,11 @@ def test_scan_skips_only_what_the_measure_rejects(degree_max, height_max, thresh
     hits = small_measure_scan(degree_max, height_max, threshold)
     assert expected
     assert sorted(f.coeffs for f, _ in hits) == sorted(expected)
+    # a shared result must still describe each hit's own roots
+    for f, res in hits:
+        own = mahler_measure(f)
+        assert (res.roots_outside, res.exact, res.kronecker) == (
+            own.roots_outside, own.exact, own.kronecker)
 
 
 def _graeffe_cases():

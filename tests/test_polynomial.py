@@ -160,8 +160,18 @@ def test_rational_roots_match_sympy(a):
     f = IntPolynomial(a)
     if f.is_zero() or f.constant == 0:
         return
-    roots, cofactor = rational_roots(f)
-    ours = sorted(q for q, mult in roots for _ in range(mult))
+    ours, cofactor = [], IntPolynomial([1])
+    for h, mult in squarefree_decomposition(f.primitive()):
+        roots, rest = rational_roots(h)
+        assert roots == sorted(roots)
+        product = rest
+        for r in roots:
+            product = product * IntPolynomial([-r.numerator, r.denominator])
+        assert product == h
+        # Yun's factor h_i holds exactly the roots of multiplicity i
+        ours += roots * mult
+        for _ in range(mult):
+            cofactor = cofactor * rest
     # sympy's rational roots come from its factorisation over Z: roots(filter="Q")
     # solves by radicals first and alone can overrun the hypothesis deadline
     theirs = sorted(
@@ -169,10 +179,20 @@ def test_rational_roots_match_sympy(a):
         for r, mult in to_sympy(f).ground_roots().items()
         for _ in range(mult)
     )
-    assert ours == theirs
+    assert sorted(ours) == theirs
     # the cofactor carries whatever degree the roots did not account for
     assert cofactor.degree == f.degree - len(ours)
     assert not to_sympy(cofactor).ground_roots()
+
+
+def test_rational_roots_rejects_a_repeated_root():
+    # every prime sees the double root 1/2, so the search must stop on its own
+    for coeffs in ([-3, -11, -8, 4], [1, -4, 4]):
+        with pytest.raises(ValueError, match="square-free"):
+            rational_roots(IntPolynomial(coeffs))
+    # a negative leading coefficient is fine: -(2t + 1)(t - 3)
+    assert rational_roots(IntPolynomial([3, 5, -2])) == (
+        [Fraction(-1, 2), Fraction(3)], IntPolynomial([-1]))
 
 
 def test_eval_paths_agree():
