@@ -526,7 +526,7 @@ def _entropy_endo(args):
 
 def _cmd_entropy_halg(args, cfg):
     phi = _entropy_endo(args)
-    report = h_alg_yuzvinski(phi, tol=args.tol, schedule=args.schedule, config=cfg)
+    report = h_alg_yuzvinski(phi, schedule=args.schedule, config=cfg)
     return _report_payload(report)
 
 
@@ -606,7 +606,6 @@ def _cmd_growth_sumset(args, cfg):
 def _cmd_mahler_measure(args, cfg):
     result = mahler_measure(
         parse_poly(args.poly),
-        tol=args.tol,
         schedule=args.schedule,
         config=cfg,
         use_exact_paths=not args.numeric,
@@ -771,7 +770,6 @@ def build_parser():
     q = sub.add_parser("halg", help="full algebraic entropy", parents=[common])
     q.add_argument("--group")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--tol", type=float, default=None)
     q.add_argument("--schedule", choices=("aberth", "durand_kerner"), default="aberth")
     q.set_defaults(handler=_cmd_entropy_halg)
     q = sub.add_parser("intrinsic", help="intrinsic entropy", parents=[common])
@@ -823,7 +821,6 @@ def build_parser():
     sub = p.add_subparsers(dest="subcommand", required=True)
     q = sub.add_parser("measure", parents=[common])
     q.add_argument("--poly", required=True)
-    q.add_argument("--tol", type=float, default=None)
     q.add_argument("--schedule", choices=("aberth", "durand_kerner"), default="aberth")
     q.add_argument("--numeric", action="store_true", help="skip the exact shortcut paths")
     q.set_defaults(handler=_cmd_mahler_measure)

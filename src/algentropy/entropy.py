@@ -62,7 +62,7 @@ from .errors import (
     UnsupportedAmbientError,
 )
 from .inertia import _ambient_ops, inert_index, strict_inert_index
-from .intlinalg import hnf, in_lattice, matvec
+from .intlinalg import matvec
 from .mahler import kronecker_test, mahler_measure
 from .models import (
     LinearShiftSpace,
@@ -223,7 +223,6 @@ def trajectory(phi, f, n, cap=None):
     if n < 1:
         raise DomainError("trajectory needs n >= 1")
     if isinstance(phi, ShiftGroup):
-        cap = default_config().element_cap if cap is None else cap
         steps = _shift_trajectory(phi, _shift_gens(phi, f), cap)
         return frozenset(next(islice(steps, n - 1, None)))
     return next(islice(_trajectory(_ambient_ops(f, phi), phi, f), n - 1, None))
@@ -288,22 +287,18 @@ def _index_stabilized(phi, h, cfg):
 
 
 def _shift_stabilized(group, gens, cfg):
-    # K_n is a lattice with the cell relations, so a_n = |F + K_n| / |K_n|
-    # is the ratio of two full-rank Hermite forms' diagonal products
+    # K_n is a cell lattice, so a_n = |F + K_n| / |K_n| is a ratio of orders
     gens = _shift_gens(group, gens)
     occupied = [pos for g in gens for pos, _ in g.support]
     places = range(min(occupied, default=0), max(occupied, default=-1) + 1)
-    if (len(places) * group.cell.dim) ** 2 > cfg.element_cap:
-        raise BudgetExceededError("the seed's window lattice exceeds the element cap")
-    rows, relations = _shift_lattice(group, gens, places)
-    reduce = partial(_cell_hnf, relations=relations)
+    rows, moduli = group._lattice(gens, places)
+    reduce = partial(ShiftGroup._hnf, moduli=moduli)
     f = reduce(rows)
     seen = _stabilize(pairwise(_window_states(reduce, group.cell.dim, f)), cfg,
                       "index sequence", lambda pair: pair[0] == pair[1])
     state = seen[-1][0]
-    dets = [math.prod(r[i] for i, r in enumerate(h))
-            for h in (state, reduce(f + state))]
-    return _log_report(Fraction(*dets), "stabilization", len(seen))
+    orders = [ShiftGroup._order(h, moduli) for h in (reduce(f + state), state)]
+    return _log_report(Fraction(*orders), "stabilization", len(seen))
 
 
 def ent(phi, config=None):
@@ -490,46 +485,15 @@ def _limit_free_shift(group, gens):
     gens = _shift_gens(group, gens)
     if all(g.is_zero() for g in gens):
         return _log_report(1, "limit_free")
-    # <gens> contains the copy at position 0 iff its integer rows lie in
-    # the lattice of the generators' rows and the cell relations; only
-    # places that occur get a column block
+    # <gens> contains the copy at position 0 iff adding it leaves the
+    # canonical form unchanged; only places that occur get a column block
     places = sorted({0} | {pos for g in gens for pos, _ in g.support})
-    rows, relations = _shift_lattice(group, gens + group.first_coordinate_copy(), places)
-    span = _cell_hnf(rows[:len(gens)], relations)
-    if all(in_lattice(row, span) for row in rows[len(gens):]):
+    rows, moduli = group._lattice(gens + group.first_coordinate_copy(), places)
+    span = ShiftGroup._hnf(rows[:len(gens)], moduli)
+    if ShiftGroup._hnf(span + rows[len(gens):], moduli) == span:
         # T = the whole direct sum; coker of the shift is one cell, kernel 0
         return _log_report(group.cell.order(), "symbolic_shift")
     raise DomainError("trajectory neither finite nor symbolic")
-
-
-def _shift_lattice(group, elems, places):
-    """Integer rows of ``elems`` over ``places`` x cell coordinates, and
-    the cell's relation diagonal over the same columns."""
-    factors = group.cell.invariant_factors
-    width = len(factors)
-    block = {pos: k * width for k, pos in enumerate(places)}
-    size = width * len(places)
-
-    def row(elem):
-        out = [0] * size
-        for pos, coords in elem.support:
-            out[block[pos]:block[pos] + width] = coords
-        return tuple(out)
-
-    relations = [[factors[i % width] if j == i else 0 for j in range(size)]
-                 for i in range(size)]
-    return [row(e) for e in elems], relations
-
-
-def _cell_hnf(rows, relations):
-    """hnf(rows + relations), with each row folded in on its own, which
-    keeps the entries below the moduli; all rows at once swell."""
-    span = hnf(relations)
-    known = set(span)
-    for row in rows:
-        if row not in known:
-            span = hnf(span + (row,))
-    return span
 
 
 def _cotrajectory_ops(phi, h):

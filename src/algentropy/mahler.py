@@ -278,8 +278,10 @@ def _certify(poly, zs, tol):
     all are scaled by one common 2^e to Gaussian integers z_i = Z_i / 2^e.
     The Weierstrass radius d*|f(z_i)| / (s * prod_{j != i} |z_i - z_j|)
     is bounded above with f(z_i) by homogeneous integer Horner,
-    |f(z_i)| <= U_i / 2^100 and |z_i - z_j| >= L_ij / 2^100 from isqrt,
-    so it is the rational d * U_i * 2^(100(d-2)) / (s * prod L_ij); disks
+    |f(z_i)| <= U_i / 2^100 and |z_i - z_j| >= L_ij / 2^k_ij from isqrt,
+    with k_ij = 100, or a grid of 100 significant bits for roots closer
+    than 2^-100, so it is the rational
+    d * U_i * 2^(sum_j k_ij - 100) / (s * prod L_ij); disks
     overlap by integer cross-multiplication (Neumaier, "Enclosing
     clusters of zeros of polynomials", J. Comput. Appl. Math. 156, 2003:
     a connected component of m disks holds exactly m roots).  Returns a
@@ -307,6 +309,7 @@ def _certify(poly, zs, tol):
     scaled = [c << (e * (d - k)) for k, c in enumerate(poly.coeffs)]
     dist2 = {}
     lower = {}
+    finer = [0] * d  # extra exponent bits of the pairs on the finer grid
     for i in range(d):
         x, y = pts[i]
         for j in range(i):
@@ -316,12 +319,16 @@ def _certify(poly, zs, tol):
             dist2[i, j] = q
             lb = _sqrt_floor(q, 2 * e)
             if lb == 0:
-                return _CertifiedRoots(0.0, 0.0, 0, False)
+                # closer than 2^-100: |z_i - z_j| >= lb / 2^(e + bits) on
+                # a grid of 100 significant bits
+                bits = max(0, _SQRT_BITS - q.bit_length() // 2)
+                lb = math.isqrt(q << 2 * bits)
+                finer[i] += e + bits - _SQRT_BITS
+                finer[j] += e + bits - _SQRT_BITS
             lower[i, j] = lower[j, i] = lb
     # radius i = rad_num[i] / rad_den[i]
     rad_num = []
     rad_den = []
-    shift = _SQRT_BITS * (d - 2)
     for i, (x, y) in enumerate(pts):
         fre, fim = scaled[d], 0
         for c in reversed(scaled[:d]):
@@ -332,6 +339,7 @@ def _certify(poly, zs, tol):
         for j in range(d):
             if j != i:
                 den *= lower[i, j]
+        shift = _SQRT_BITS * (d - 2) + finer[i]
         if shift >= 0:
             num <<= shift
         else:
@@ -631,7 +639,8 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
                         if abs(r) > 1:
                             outside += mult
             if factor.degree > 0:
-                numeric.append((factor, mult))
+                # g and (-1)^deg g(-t) have the same root moduli: one value
+                numeric.append((IntPolynomial(_orbit_key(factor.coeffs)), mult))
     if not numeric:
         value = (
             0.0 if exact_q == 1
@@ -737,9 +746,9 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     goes to :func:`mahler_measure`, so every returned measure is certified
     and measure zero is decided exactly.
 
-    f and (-1)^d f(-t) have the same root moduli, so each such pair is
-    measured once and shares one result: the two carry one value and
-    come out sorted by their coefficients, not by rounding noise.  (The
+    f and (-1)^d f(-t) have the same root moduli, and
+    :func:`mahler_measure` gives them one value; each such pair is
+    measured once and shares that result, which is only a cache.  (The
     reversal keeps M but sends each root l to 1/l, which changes
     ``roots_outside``, so it is measured on its own.)
     """
@@ -776,7 +785,7 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
 def _orbit_key(coeffs):
     """The lesser of the coefficient tuples of f and (-1)^d f(-t)."""
     d = len(coeffs) - 1
-    return min(tuple(coeffs), tuple((-1) ** (d - i) * a for i, a in enumerate(coeffs)))
+    return min(tuple(coeffs), tuple(-a if (d - i) & 1 else a for i, a in enumerate(coeffs)))
 
 
 def _coeff_tuples(d, h):

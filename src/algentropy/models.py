@@ -6,8 +6,8 @@ interesting dynamics happen on three computable infinite models:
 * :class:`ShiftGroup`, the direct sum of countably many copies of a finite
   abelian cell, carrying the right shift.  Elements are finitely supported;
   the trajectory of a finite F grows by setwise sums T_{n+1} = T_n + beta^n(F),
-  one coset per new shifted element, under an element cap.  The shift
-  entropies enumerate nothing; the cap bounds their lattices' entries.
+  one coset per new shifted element, under an element cap.  Closures and
+  shift entropies read one lattice whose cell relations stay implicit.
 * :class:`LinearShiftSpace`, finitely supported sequences over GF(p) or
   the rationals, where the subadditive invariant is a dimension.
 * :class:`CylinderFamily`, the chain of cylinder subgroups of the full
@@ -15,12 +15,15 @@ interesting dynamics happen on three computable infinite models:
   form in the cell order, no product element is ever materialized.
 """
 
+import math
 from fractions import Fraction
 from itertools import islice
 
 from .abelian import FgAbGroup
 from .base import _is_prime, setwise_trajectory
+from .config import default_config
 from .errors import AmbientMismatchError, BudgetExceededError, DomainError
+from .intlinalg import hnf
 
 __all__ = [
     "ShiftElement",
@@ -31,9 +34,6 @@ __all__ = [
     "cylinder_cotrajectory_index",
     "two_sided_shift_inert_index",
 ]
-
-DEFAULT_ELEMENT_CAP = 10**6
-
 
 class ShiftElement:
     """A finitely supported map position -> cell element.
@@ -162,38 +162,71 @@ class ShiftGroup:
             gens.append(self.element({0: coords}))
         return tuple(gens)
 
-    def closure(self, generators, cap=DEFAULT_ELEMENT_CAP):
+    def closure(self, generators, cap=None):
         """The subgroup generated, as a frozenset of elements.
 
-        Saturates breadth-first; every element has finite order, so
-        closing under addition of the generators and their negatives
-        reaches the whole subgroup.  Raises when the element count
-        exceeds ``cap``.
+        Each element is sum c_i r_i over the rows r_i of the subgroup's
+        form, 0 <= c_i < d / pivot_i, so each comes out exactly once.
+        Raises before building anything when the order exceeds ``cap``
+        (default: the session's ``element_cap``).
         """
-        steps = []
+        generators = tuple(generators)
         for g in generators:
             if not isinstance(g, ShiftElement) or g.group != self:
                 raise AmbientMismatchError("generator from a different group")
-            for h in (g, -g):
-                if not h.is_zero() and h not in steps:
-                    steps.append(h)
-        zero = self.zero()
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in steps:
-                    y = x + g
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise BudgetExceededError(
-                                f"subgroup closure exceeded cap {cap}"
-                            )
-                        seen.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return frozenset(seen)
+        cap = default_config().element_cap if cap is None else cap
+        places = sorted({pos for g in generators for pos, _ in g.support})
+        rows, moduli = self._lattice(generators, places)
+        form = self._hnf(rows, moduli)
+        if self._order(form, moduli) > cap:
+            raise BudgetExceededError(f"subgroup closure exceeded cap {cap}")
+        vectors = [(0,) * len(moduli)]
+        for row in form:
+            steps = range(self._order((row,), moduli))
+            vectors = [tuple(a + c * b for a, b in zip(v, row))
+                       for v in vectors for c in steps]
+        width = self.cell.dim
+        return frozenset(self.element({pos: v[k * width:(k + 1) * width]
+                                       for k, pos in enumerate(places)}) for v in vectors)
+
+    def _lattice(self, elems, places):
+        """Integer rows of ``elems`` over ``places`` x cell coordinates, and
+        each column's modulus d_j.  The relations d_j e_j stay implicit."""
+        factors = self.cell.invariant_factors
+        width = len(factors)
+        block = {pos: k * width for k, pos in enumerate(places)}
+
+        def row(elem):
+            out = [0] * (width * len(places))
+            for pos, coords in elem.support:
+                out[block[pos]:block[pos] + width] = coords
+            return tuple(out)
+
+        return tuple(row(e) for e in elems), factors * len(places)
+
+    @staticmethod
+    def _hnf(rows, moduli):
+        """hnf(rows + every relation d_j e_j), less its rows d_j e_j.
+
+        A column no row touches holds d_j e_j alone, so only touched
+        columns get a relation row.  Rows are folded in one at a time,
+        which keeps the entries below the moduli.
+        """
+        rows = list(rows)
+        touched = sorted({j for r in rows for j, x in enumerate(r) if x})
+        span = tuple(tuple(moduli[j] if k == j else 0 for k in range(len(moduli)))
+                     for j in touched)
+        lone = set(span)
+        for row in rows:
+            if row not in lone:
+                span = hnf(span + (row,))
+        return tuple(r for r in span if r not in lone)
+
+    @staticmethod
+    def _order(form, moduli):
+        """The subgroup's order, the product of d_j / pivot over the form."""
+        pivots = (next((j, x) for j, x in enumerate(row) if x) for row in form)
+        return math.prod(moduli[j] // x for j, x in pivots)
 
     def __eq__(self, other):
         return isinstance(other, ShiftGroup) and other.cell == self.cell
@@ -205,10 +238,11 @@ class ShiftGroup:
         return f"ShiftGroup({self.cell!r})"
 
 
-def shift_trajectory_order(group, generators, n, cap=DEFAULT_ELEMENT_CAP):
+def shift_trajectory_order(group, generators, n, cap=None):
     """Exact order of T_n = F + beta(F) + ... + beta^{n-1}(F).
 
-    ``generators`` generate the finite subgroup F.
+    ``generators`` generate the finite subgroup F; T_n holds at most
+    ``cap`` elements (default: the session's ``element_cap``).
 
     >>> B = ShiftGroup(FgAbGroup([2]))
     >>> [shift_trajectory_order(B, B.first_coordinate_copy(), n)
@@ -224,6 +258,7 @@ def shift_trajectory_order(group, generators, n, cap=DEFAULT_ELEMENT_CAP):
 def _shift_trajectory(group, generators, cap):
     """T_1 = F, T_2, ... as element sets, F = <generators>; the setwise
     sum of two subgroups is their subgroup sum, so each T_n is one."""
+    cap = default_config().element_cap if cap is None else cap
     seed = group.closure(generators, cap=cap)
     return setwise_trajectory(
         seed, ShiftElement.shifted, ShiftElement.__add__, cap, subgroup=True

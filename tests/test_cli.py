@@ -382,6 +382,24 @@ def test_config_flags_accepted_after_subcommand():
     assert invoke("--max-steps", "3", *argv)[0] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("mahler", "measure", "--poly", "1,0,0,1,1"),
+    ("entropy", "halg", "--matrix", "[[1,1],[1,0]]"),
+], ids=["mahler", "halg"])
+def test_tol_is_the_session_tolerance(argv):
+    # --tol abbreviates --tolerance, the one tolerance knob
+    code, out, err = invoke(*argv, "--tol", "1e-4")
+    assert code == 0, err
+    assert out == invoke(*argv, "--tolerance", "1e-4")[1]
+    assert out == invoke("--tolerance", "1e-4", *argv)[1]
+
+
+def test_non_positive_tol_is_a_parse_error():
+    # a per-command --tol skipped the session's validation and exited 0
+    code, out, err = invoke("mahler", "measure", "--poly", "1,1", "--tol", "-1")
+    assert (code, out) == (1, "") and "tolerance must be positive" in err
+
+
 def test_window_flag_is_gone(monkeypatch):
     code, out, err = invoke("entropy", "ent", "--cell", "Z/2", "--window", "4")
     assert (code, out) == (1, "") and "--window" in err

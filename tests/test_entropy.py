@@ -17,6 +17,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shift_oracle import bfs_closure
 
 from algentropy import inertia
 from algentropy.abelian import Endo, FgAbGroup, subgroup_from_generators, subgroup_index
@@ -614,8 +615,8 @@ def test_limit_free_shift_matches_the_closure_criterion():
         ]
         if all(g.is_zero() for g in gens):
             continue
-        copy = b.closure(b.first_coordinate_copy())
-        if copy <= b.closure(gens):
+        copy = bfs_closure(b, b.first_coordinate_copy(), 10**4)
+        if copy <= bfs_closure(b, gens, 10**4):
             assert limit_free_h(b, gens).log_of == cell.order()
         else:
             with pytest.raises(DomainError):
@@ -815,11 +816,12 @@ def test_shift_window_states_time_regression():
     report = h_alg_stabilized(b2, [b2.element({0: [1], 120: [1]})])
     assert time.perf_counter() - start < 0.5
     assert (report.log_of, report.steps_used) == (2, 1)
-    # the window lattice's (places x cell rank)^2 entries stay under the
-    # element cap: 10^10 of them here
-    with pytest.raises(BudgetExceededError):
-        h_alg_stabilized(b2, [b2.element({0: [1], 100000: [1]})])
-    assert time.perf_counter() - start < 0.5
+    # a relation row for every column of the 100,001 places made this
+    # seed exceed the element cap; only the two touched columns get one
+    start = time.perf_counter()
+    report = h_alg_stabilized(b2, [b2.element({0: [1], 100000: [1]})])
+    assert time.perf_counter() - start < 2.0
+    assert (report.log_of, report.steps_used) == (2, 1)
     b = ShiftGroup(FgAbGroup([2, 4]))
     draw = random.Random(0)
     gens = [b.element({p: [draw.randrange(2), draw.randrange(4)] for p in range(30)})
@@ -831,16 +833,20 @@ def test_shift_window_states_time_regression():
 
 
 def test_cell_hnf_matches_the_plain_hermite_form():
-    # folding rows one at a time into the relations against hnf of all
-    # rows at once, which does not swell at this size
+    # folding rows one at a time into the touched columns' relations
+    # against hnf of all rows with the full relation diagonal at once,
+    # which does not swell at this size, less its lone relation rows
     draw = random.Random("cell-hnf")
     cells = [[m] for m in range(2, 10)] + [[2, 2], [2, 4], [3, 3]]
     for trial in range(110):
         b = ShiftGroup(FgAbGroup(cells[trial % len(cells)]))
-        _, relations = entropy._shift_lattice(b, (), range(draw.randint(1, 6)))
-        rows = [tuple(draw.choice([0, 0, draw.randint(-9, 9)]) for _ in relations)
+        _, moduli = b._lattice((), range(draw.randint(1, 6)))
+        relations = [tuple(d if k == j else 0 for k in range(len(moduli)))
+                     for j, d in enumerate(moduli)]
+        rows = [tuple(draw.choice([0, 0, draw.randint(-9, 9)]) for _ in moduli)
                 for _ in range(draw.randint(0, 5))]
-        assert entropy._cell_hnf(rows, relations) == hnf(rows + relations), rows
+        want = tuple(r for r in hnf(rows + relations) if r not in relations)
+        assert ShiftGroup._hnf(rows, moduli) == want, rows
 
 
 @pytest.mark.parametrize("factors", [[16], [4, 4]], ids=str)

@@ -583,6 +583,41 @@ def test_widely_spread_root_moduli_certify(schedule):
         assert truth <= mid + mpmath.mpf(err.numerator) / err.denominator
 
 
+@pytest.mark.parametrize("schedule", ["aberth", "durand_kerner"])
+@pytest.mark.parametrize("coeffs, decades", [
+    ([1] + [0] * 5 + [10**300, 1], 300),
+    ([1, 10**200, 10**250, 1], 250),
+], ids=["t^7+10^300t^6+1", "t^3+10^250t^2+10^200t+1"])
+def test_roots_closer_than_the_fixed_grid_certify(coeffs, decades, schedule):
+    # the roots of modulus 10^-50 are closer together than 2^-100, so
+    # their distances read 0 on a fixed 2^-100 grid and every precision
+    # failed alike (after 2.0 s on the first one, on a 2-core machine)
+    start = time.perf_counter()
+    res = mahler_measure(IntPolynomial(coeffs), schedule=schedule)
+    assert time.perf_counter() - start < 2.0
+    assert res.roots_outside == 1 and not res.exact
+    with mpmath.workdps(40):
+        truth = decades * mpmath.log(10)
+        err = mpmath.mpf(res.error_bound.numerator) / res.error_bound.denominator
+        assert res.value - err <= truth <= res.value + err
+
+
+def _minus_t(f):
+    """(-1)^deg f(-t), which has the roots of f negated."""
+    return IntPolynomial([(-1) ** (f.degree - i) * a for i, a in enumerate(f.coeffs)])
+
+
+def test_a_polynomial_and_its_image_under_t_to_minus_t_get_one_value():
+    # Lehmer's L(t) read ...773 and L(-t) ...776, so scan hits of equal
+    # measure in different t -> -t pairs sorted by rounding noise
+    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    polys = [lehmer * IntPolynomial(c) for c in ([1], [1, 1], [-1, 1], [1, 1, 1], [1, -1, 1])]
+    results = {mahler_measure(f) for g in polys for f in (g, _minus_t(g))}
+    assert len(results) == 1
+    (res,) = results
+    assert res.value - float(res.error_bound) <= 0.1623576120077380 <= res.value + float(res.error_bound)
+
+
 def test_huge_coefficient_cli_exit_codes():
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()

@@ -2,11 +2,13 @@
 
 import random
 import time
+from functools import partial
 from itertools import count, islice, pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shift_oracle import bfs_closure
 
 from algentropy import entropy
 from algentropy.abelian import FgAbGroup
@@ -48,6 +50,9 @@ def test_shifted_moves_support():
         a.shifted(-1)
 
 
+SHIFT_CELLS = [[m] for m in range(2, 10)] + [[2, 2], [2, 2, 2], [3, 3]]
+
+
 def test_first_coordinate_copy_generates_cell():
     g = ShiftGroup(FgAbGroup([2, 4]))
     gens = g.first_coordinate_copy()
@@ -69,6 +74,47 @@ def test_closure_cap_enforced():
         g.closure(gens, cap=100)
 
 
+def test_closure_and_orders_read_the_session_element_cap(monkeypatch):
+    g = ShiftGroup(FgAbGroup([2]))
+    gens = [g.element({i: [1]}) for i in range(8)]
+    assert len(g.closure(gens)) == 256
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "100")
+    with pytest.raises(BudgetExceededError):
+        g.closure(gens)
+    with pytest.raises(BudgetExceededError):
+        shift_trajectory_order(g, g.first_coordinate_copy(), 8)
+    assert shift_trajectory_order(g, g.first_coordinate_copy(), 6) == 64
+    assert len(g.closure(gens, cap=256)) == 256
+
+
+def test_closure_over_the_cap_raises_before_building_time_regression():
+    # a breadth-first closure built the cap's 10^6 elements, each of up
+    # to 40 places, before it raised; the order is known from the form
+    g = ShiftGroup(FgAbGroup([2]))
+    gens = [g.element({i: [1]}) for i in range(40)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        g.closure(gens)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("factors", SHIFT_CELLS + [[2, 4], [4, 8], [6, 12]], ids=str)
+def test_closure_and_order_match_the_breadth_first_closure(factors):
+    # at most three generators of order <= 12 keep every subgroup under 12^3
+    group = ShiftGroup(FgAbGroup(factors))
+    draw = random.Random(f"closure/{factors}")
+    for _ in range(25):
+        gens = [group.element({
+            pos: [draw.randrange(d) for d in factors]
+            for pos in draw.sample([0, 1, 2, 5, 40], draw.randint(1, 3))
+        }) for _ in range(draw.randint(0, 3))]
+        want = bfs_closure(group, gens, 5000)
+        places = sorted({pos for g in gens for pos, _ in g.support})
+        rows, moduli = group._lattice(gens, places)
+        assert ShiftGroup._order(ShiftGroup._hnf(rows, moduli), moduli) == len(want), gens
+        assert group.closure(gens, cap=5000) == want, gens
+
+
 def test_closure_rejects_foreign_elements():
     g, h = ShiftGroup(FgAbGroup([2])), ShiftGroup(FgAbGroup([3]))
     with pytest.raises(AmbientMismatchError):
@@ -85,7 +131,6 @@ def test_shift_trajectory_order_doubles_per_step():
 # The trajectory stream adds one shifted copy of F per step.  The oracle
 # is the from-scratch closure of every shifted generator, one BFS per n.
 
-SHIFT_CELLS = [[m] for m in range(2, 10)] + [[2, 2], [2, 2, 2], [3, 3]]
 ORACLE_CAP = 800
 
 
@@ -104,7 +149,7 @@ def _spread_generators(group, seed, count):
 
 
 def _closure_of_shifts(group, gens, n, cap):
-    return group.closure([g.shifted(i) for i in range(n) for g in gens], cap=cap)
+    return bfs_closure(group, [g.shifted(i) for i in range(n) for g in gens], cap)
 
 
 def _or_budget(fn, *args, **kwargs):
@@ -177,21 +222,17 @@ def test_shift_stabilization_matches_closure_of_shifts(factors):
 
 
 def _lattice_window_sets(group, gens, steps):
-    """K_1, ..., K_steps from the entropy's Hermite-form window states over
+    """K_1, ..., K_steps from the entropy's cell-lattice window states over
     the seed's places x cell coordinates, each mapped to its element set."""
     occupied = [pos for g in gens for pos, _ in g.support]
     width = group.cell.dim
-    rows, relations = entropy._shift_lattice(
-        group, gens, range(min(occupied), max(occupied) + 1))
-
-    def reduce(rows):
-        return entropy._cell_hnf(rows, relations)
-
+    rows, moduli = group._lattice(gens, range(min(occupied), max(occupied) + 1))
+    reduce = partial(ShiftGroup._hnf, moduli=moduli)
     sets = []
     for state in islice(entropy._window_states(reduce, width, reduce(rows)), steps):
         elems = [group.element({k: row[k * width:(k + 1) * width]
                                 for k in range(len(row) // width)}) for row in state]
-        sets.append({x.support for x in group.closure(elems)})
+        sets.append({x.support for x in bfs_closure(group, elems, 10**4)})
     return sets
 
 
