@@ -452,10 +452,7 @@ def endo_apply_subgroup(phi, h):
 
 def endo_kernel(phi):
     """Kernel subgroup {x in A : phi(x) = 0}."""
-    g = phi.group
-    lam = g.relation_rows()
-    pre = ila.preimage_lattice(phi.matrix, lam, g.dim)
-    return Subgroup(g, ila.hnf(tuple(pre) + lam))
+    return endo_preimage_subgroup(phi, phi.group.zero_subgroup())
 
 
 def endo_preimage_subgroup(phi, sub):
@@ -477,22 +474,15 @@ def endo_cokernel_order(phi):
 def endo_invert(phi):
     """Inverse endomorphism when ``phi`` is an automorphism, else None.
 
-    Solves M x = e_i modulo Lambda column by column; a full solution
-    means phi is surjective, and a surjective endomorphism of a finitely
-    generated abelian group is automatically bijective.
+    The rows of [M | Lambda^T]^T span Z^n exactly when phi is onto, and
+    a surjective endomorphism of a finitely generated abelian group is
+    bijective.  Then row i of the Hermite transform solves
+    M x = e_i modulo Lambda, and its first n entries are column i of
+    the inverse.
     """
     g = phi.group
     n = g.dim
-    lam = g.relation_rows()
-    aug = tuple(
-        tuple(phi.matrix[i]) + tuple(row[i] for row in lam) for i in range(n)
-    )
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        sol = ila.solve_integer(aug, e, n + len(lam))
-        if sol is None:
-            return None
-        cols.append(sol[:n])
-    inv_matrix = tuple(zip(*cols))
-    return Endo(g, inv_matrix)
+    h, u = ila.hnf_with_transform(ila.transpose(phi.matrix) + g.relation_rows())
+    if h[:n] != ila.identity(n):
+        return None
+    return Endo(g, ila.transpose([row[:n] for row in u[:n]]))

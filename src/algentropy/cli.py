@@ -241,8 +241,9 @@ def _canonical_group(orders, free):
     if not orders:
         return FgAbGroup([], free)
     n = len(orders)
-    rows = [[orders[i] if j == i else 0 for j in range(n + free)] for i in range(n)]
-    return canonicalize_presentation(rows, n + free)
+    torsion = canonicalize_presentation([[d if j == i else 0 for j in range(n)]
+                                         for i, d in enumerate(orders)])
+    return FgAbGroup(torsion.invariant_factors, free)
 
 
 def parse_poly(text):
@@ -546,6 +547,8 @@ def _fg_or_lattice_pair(args):
 
 def _cmd_entropy_adjoint(args, cfg):
     phi, h = _fg_or_lattice_pair(args)
+    if args.steps > cfg.max_steps:
+        raise BudgetExceededError(f"{args.steps} steps exceed max_steps {cfg.max_steps}")
     payload = _report_payload(intrinsic_adjoint_entropy(phi, h, cfg))
     if args.steps:
         tail = adjoint_cotrajectory(phi, h, args.steps)

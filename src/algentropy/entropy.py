@@ -562,6 +562,7 @@ def scale_over_family(fam, max_index=10):
 
     The minimum is over the supplied cylinder family only, not over all
     compact open subgroups, so treat it as an upper bound for the scale.
+    s(shift, U_k) = |F| for every k, so the minimum is its value at 0.
 
     >>> from .models import CylinderFamily
     >>> from .abelian import FgAbGroup
@@ -572,9 +573,7 @@ def scale_over_family(fam, max_index=10):
 
     if max_index < 0:
         raise DomainError("the family slice must be nonempty")
-    return min(
-        two_sided_shift_inert_index(fam, k) for k in range(max_index + 1)
-    )
+    return two_sided_shift_inert_index(fam, 0)
 
 
 def classify_growth(phi):

@@ -28,7 +28,6 @@ from .abelian import (
     endo_apply_subgroup,
     endo_invert,
     endo_kernel,
-    endo_preimage_subgroup,
     subgroup_from_generators,
     subgroup_index,
     subgroup_intersect,
@@ -43,6 +42,7 @@ from .errors import (
     NotDivisibleError,
     UnsupportedAmbientError,
 )
+from .intlinalg import preimage_within
 from .rational import (
     QSpace,
     RationalEndo,
@@ -104,7 +104,7 @@ _AmbientOps = namedtuple("_AmbientOps", "apply sum meet index preimage zero")
 
 
 def _fg_preimage(phi, target, within):
-    return subgroup_intersect(within, endo_preimage_subgroup(phi, target))
+    return Subgroup(within.group, preimage_within(phi.matrix, target.basis, within.basis))
 
 
 def _fg_zero(sub):

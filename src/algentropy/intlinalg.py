@@ -28,7 +28,7 @@ __all__ = [
     "index_in",
     "right_kernel",
     "preimage_lattice",
-    "solve_integer",
+    "preimage_within",
     "det_bareiss",
     "snf_invariant_factors",
     "matmul",
@@ -197,6 +197,13 @@ def mat_power(m, k):
     return result
 
 
+def _left_kernel(rows):
+    """Rows spanning {z : z @ rows = 0}: the transform rows that the
+    Hermite form of ``rows`` sends to zero."""
+    h, u = hnf_with_transform(rows)
+    return tuple(u[i] for i in range(len(h)) if not any(h[i]))
+
+
 def right_kernel(mat, ncols):
     """Basis (tuple of rows) of {x in Z^ncols : mat @ x = 0}.
 
@@ -206,10 +213,7 @@ def right_kernel(mat, ncols):
     """
     if not mat:
         return identity(ncols)
-    cols = transpose(mat)  # ncols x nrows; row i is the i-th coordinate map
-    h, u = hnf_with_transform(cols)
-    out = [u[i] for i in range(len(h)) if not any(h[i])]
-    return tuple(tuple(r) for r in out)
+    return _left_kernel(transpose(mat))
 
 
 def preimage_lattice(mat, basis, ncols):
@@ -229,6 +233,18 @@ def preimage_lattice(mat, basis, ncols):
     extra = len(basis)
     ker = right_kernel(aug, ncols + extra)
     return hnf([row[:ncols] for row in ker])
+
+
+def preimage_within(mat, target, within):
+    """Lattice {v in L(within) : mat @ v in L(target)}, both given by rows.
+
+    With v = c @ within the condition on c is the preimage problem for
+    mat @ within^T, so the meet with ``within`` costs no second kernel.
+    """
+    if not within:
+        return ()
+    image = matmul(mat, transpose(within))
+    return hnf(matmul(preimage_lattice(image, target, len(within)), within))
 
 
 def index_in(sup, sub):
@@ -304,50 +320,15 @@ def lattice_intersect(a, b, ncols):
         return ()
     # x*A = y*B solutions: left kernel of the stacked matrix [A; -B]
     stacked = [tuple(r) for r in a] + [tuple(-x for x in r) for r in b]
-    h, u = hnf_with_transform(stacked)
     na = len(a)
     gens = []
-    for i in range(len(h)):
-        if any(h[i]):
-            continue
-        coeff = u[i][:na]
+    for coeffs in _left_kernel(stacked):
         vec = [0] * ncols
-        for c, row in zip(coeff, a):
+        for c, row in zip(coeffs[:na], a):
             if c:
                 vec = [x + c * y for x, y in zip(vec, row)]
         gens.append(tuple(vec))
     return hnf(gens)
-
-
-def solve_integer(mat, b, ncols):
-    """One integer solution x of mat @ x = b, or None.
-
-    mat given as rows (acting on column x of length ncols).
-    """
-    cols = transpose(mat) if mat else tuple(() for _ in range(ncols))
-    if not mat:
-        return tuple([0] * ncols) if not any(b) else None
-    h, u = hnf_with_transform(cols)  # u * cols = h; rows of h are images of unit x's
-    # We need coefficients z with z * h = b, then x = z * u.
-    z = [0] * len(h)
-    v = list(b)
-    for i, row in enumerate(h):
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            continue
-        q, r = divmod(v[c], row[c])
-        if r:
-            return None
-        if q:
-            v = [a - q * t for a, t in zip(v, row)]
-        z[i] = q
-    if any(v):
-        return None
-    x = [0] * ncols
-    for zi, urow in zip(z, u):
-        if zi:
-            x = [a + zi * t for a, t in zip(x, urow)]
-    return tuple(x)
 
 
 def det_bareiss(mat):

@@ -753,11 +753,17 @@ def small_measure_scan(degree_max=10, height_max=1, threshold=0.2, config=None):
     ``roots_outside``, so it is measured on its own.)
     """
     cfg = config or default_config()
-    total = sum((2 * height_max + 1) ** d for d in range(1, degree_max + 1))
-    if total > cfg.element_cap:
-        raise BudgetExceededError(
-            f"scan of {total} polynomials exceeds the element cap {cfg.element_cap}"
-        )
+    if height_max < 0:
+        raise DomainError("height_max must be >= 0")
+    if not height_max:
+        return []  # t^d alone, and its constant term is 0
+    total = 0
+    for d in range(1, degree_max + 1):
+        total += (2 * height_max + 1) ** d
+        if total > cfg.element_cap:
+            raise BudgetExceededError(
+                f"scan of at least {total} polynomials exceeds the element cap {cfg.element_cap}"
+            )
     found = []
     measured = {}  # orbit key -> the one measure f and f(-t) share
     for d in range(1, degree_max + 1):

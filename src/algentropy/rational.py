@@ -358,10 +358,11 @@ def preimage_in_lattice(phi, target, within):
     """The lattice {v in ``within`` : phi(v) in ``target``}.
 
     Stays finitely generated even when phi is singular, because the
-    kernel directions are cut down by ``within``.  Write v = W^T x / a
-    for the basis W of ``within``, phi = mat / den and ``target`` = T / b.
-    With P = mat @ W^T and g = gcd(b, den * a), the condition on x in Z^k
-    is the integer preimage problem (b / g) P x in (den * a / g) T.
+    kernel directions are cut down by ``within``.  Write ``within`` =
+    W / a, phi = mat / den and ``target`` = T / b.  With
+    g = gcd(b, den * a), v = w / a lies in the preimage exactly when
+    (b / g) mat @ w lies in (den * a / g) T, which is
+    ``intlinalg.preimage_within`` on W.
 
     >>> half = RationalEndo.scalar(1, Fraction(1, 2))
     >>> L = preimage_in_lattice(half, RationalLattice.standard(1),
@@ -371,17 +372,13 @@ def preimage_in_lattice(phi, target, within):
     """
     if phi.dim != target.ambient_dim or phi.dim != within.ambient_dim:
         raise AmbientMismatchError("endo and lattice dimensions differ")
-    if within.is_zero():
-        return within
-    a, w_rows = within.den, within.mat
-    b, t_rows = target.den, target.mat
+    a, b = within.den, target.den
     g = math.gcd(b, phi.den * a)
     fp, ft = b // g, phi.den * a // g
-    image = ila.matmul(phi.mat, ila.transpose(w_rows))
-    cleared = tuple(tuple(fp * x for x in row) for row in image)
-    big_target = tuple(tuple(ft * x for x in row) for row in t_rows)
-    xs = ila.preimage_lattice(cleared, big_target, len(w_rows))
-    return RationalLattice._from_scaled(within.ambient_dim, a, ila.hnf(ila.matmul(xs, w_rows)))
+    cleared = tuple(tuple(fp * x for x in row) for row in phi.mat)
+    big_target = tuple(tuple(ft * x for x in row) for row in target.mat)
+    pre = ila.preimage_within(cleared, big_target, within.mat)
+    return RationalLattice._from_scaled(within.ambient_dim, a, pre)
 
 
 def _berkowitz(a):

@@ -4,6 +4,8 @@ Small finite groups are checked by direct element enumeration, so the
 lattice arithmetic under the hood never has to be trusted on its own.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -214,6 +216,52 @@ def test_endo_invert():
     assert endo_invert(Endo(free, [[2, 0], [0, 1]])) is None
     unimod = endo_invert(Endo(free, [[1, 1], [0, 1]]))
     assert unimod.compose(Endo(free, [[1, 1], [0, 1]])).is_identity()
+
+
+def _all_endos(group):
+    """Every endomorphism of a finite group: entry (j, i) runs over the
+    multiples of d_j / gcd(d_i, d_j) modulo d_j."""
+    ds, n = group.invariant_factors, group.dim
+    choices = [range(0, ds[j], ds[j] // math.gcd(ds[i], ds[j]))
+               for j in range(n) for i in range(n)]
+    for entries in itertools.product(*choices):
+        yield Endo(group, [entries[j * n:(j + 1) * n] for j in range(n)])
+
+
+def test_endo_invert_against_brute_force():
+    # invertible exactly when the action on the elements is a bijection;
+    # the count of inverses is |Aut(G)|, e.g. |GL_3(F_2)| = 168
+    automorphisms = {(): 1, (2,): 1, (3,): 2, (6,): 2, (2, 2): 6, (2, 4): 8,
+                     (3, 3): 48, (2, 8): 16, (2, 2, 2): 168}
+    for factors, order in automorphisms.items():
+        g = FgAbGroup(factors)
+        elements = list(g.elements())
+        count = 0
+        for phi in _all_endos(g):
+            bijective = len({phi.apply(x) for x in elements}) == len(elements)
+            inv = endo_invert(phi)
+            assert (inv is not None) == bijective, phi
+            if inv is not None:
+                count += 1
+                assert inv.compose(phi).is_identity() and phi.compose(inv).is_identity()
+        assert count == order, g
+
+
+def test_endo_invert_composites_on_infinite_groups():
+    # Z^2: invertible iff det = +-1; Z/4 + Z: iff the torsion entry is a
+    # unit mod 4 and the free entry is +-1
+    r = range(-2, 3)
+    free = FgAbGroup([], free_rank=2)
+    mixed = FgAbGroup([4], free_rank=1)
+    cases = [(Endo(free, [[a, b], [c, d]]), abs(a * d - b * c) == 1)
+             for a, b, c, d in itertools.product(r, repeat=4)]
+    cases += [(Endo(mixed, [[a, b], [0, d]]), a % 2 == 1 and abs(d) == 1)
+              for a, b, d in itertools.product(r, repeat=3)]
+    for phi, invertible in cases:
+        inv = endo_invert(phi)
+        assert (inv is not None) == invertible, phi
+        if inv is not None:
+            assert inv.compose(phi).is_identity() and phi.compose(inv).is_identity()
 
 
 def test_ambient_mismatch_rejected():

@@ -3,18 +3,15 @@
 import io
 import json
 import math
-import os
 import random
 import shlex
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from fresh import fresh_interpreter
 
-import algentropy
 from algentropy.cli import build_parser, parse_group, parse_matrix, parse_poly, run
 from algentropy.errors import ParseError
 
@@ -251,29 +248,72 @@ def test_nonabelian_traj_long_run_output():
     )
 
 
-@pytest.mark.parametrize("argv", [
-    ["nonabelian", "traj", "--order", "6", "--index", "1", "--phi", "[0,1,2,3,4,5]",
-     "--subset", "[1,2]"],
-    ["growth", "sumset", "--group", "Z", "--matrix", "[[1]]", "--points", "[[0],[1]]"],
-], ids=["nonabelian", "sumset"])
-def test_step_count_beyond_max_steps_is_a_budget_error(argv):
-    # a fresh process, so a step loop that ignores max_steps fails by timeout
+def _fresh_run(argv, timeout=60):
+    """Exit code, seconds, stdout and stderr of ``run(argv)`` in a fresh
+    interpreter, so a loop that never ends fails by the timeout."""
     code = (
         "import io, sys, time\n"
         "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
         "start = time.perf_counter()\n"
-        f"code = run({argv!r} + ['--n', str(10**30)], io.StringIO(), sys.stderr)\n"
+        f"code = run({argv!r}, out, sys.stderr)\n"
         "print(code, time.perf_counter() - start)\n"
+        "print(out.getvalue(), end='')\n"
     )
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    exit_code, seconds = done.stdout.split()
-    assert exit_code == "3" and "max_steps" in done.stderr
-    assert float(seconds) < 1.0
-    assert invoke(*argv, "--n", "65")[0] == 3
-    assert invoke(*argv, "--n", "65", "--max-steps", "65")[0] == 0
+    done = fresh_interpreter(code, timeout)
+    status, out = done.stdout.split("\n", 1)
+    exit_code, seconds = status.split()
+    return int(exit_code), float(seconds), out, done.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["nonabelian", "traj", "--order", "6", "--index", "1", "--phi", "[0,1,2,3,4,5]",
+      "--subset", "[1,2]"], "--n"),
+    (["growth", "sumset", "--group", "Z", "--matrix", "[[1]]", "--points", "[[0],[1]]"], "--n"),
+    (["entropy", "adjoint", "--matrix", "[[1/2]]", "--sub", "[[1]]"], "--steps"),
+], ids=["nonabelian", "sumset", "adjoint"])
+def test_step_count_beyond_max_steps_is_a_budget_error(argv, flag):
+    # 10^8 adjoint steps were still running after 10 s on a 2-core machine
+    code, seconds, _, err = _fresh_run(argv + [flag, str(10**8)])
+    assert code == 3 and "max_steps" in err
+    assert seconds < 1.0
+    assert invoke(*argv, flag, str(10**30))[0] == 3
+    assert invoke(*argv, flag, "65")[0] == 3
+    assert invoke(*argv, flag, "65", "--max-steps", "65")[0] == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # the minimum over k <= max_index of a constant ran max_index + 1 times
+    (["entropy", "scale", "--cell", "Z/2", "--max-index", str(10**30)],
+     '{"family_relative":true,"max_index":"%d","scale":"2"}\n' % 10**30),
+    # the Smith form of a dense relation row with a column per free rank:
+    # 1.8 s at Z^3000000 on a 2-core machine
+    (["group", "canon", "--group", "Z/2 x Z^1000000000000"],
+     '{"display":"Z/2 + Z^1000000000000","free_rank":"1000000000000",'
+     '"invariant_factors":["2"],"order":"Infinite"}\n'),
+    (["group", "canon", "--group",
+      '{"invariant_factors": ["2"], "free_rank": "1000000000000"}'],
+     '{"display":"Z/2 + Z^1000000000000","free_rank":"1000000000000",'
+     '"invariant_factors":["2"],"order":"Infinite"}\n'),
+    # no candidate has a nonzero constant term, but each degree was visited
+    (["mahler", "scan", "--degree-max", "1000000", "--height-max", "0"],
+     '{"count":"0","polynomials":[]}\n'),
+], ids=["scale", "canon", "canon-json", "scan-height-0"])
+def test_huge_counts_answer_at_once_time_regression(argv, expected):
+    code, seconds, out, err = _fresh_run(argv)
+    assert (code, out) == (0, expected), err
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    # the scan size (2h+1)^d was summed over every degree before the cap
+    (["mahler", "scan", "--degree-max", "1000000000"], 3),
+    (["mahler", "scan", "--degree-max", "1000000000", "--height-max", "-1"], 2),
+], ids=["degree", "negative-height"])
+def test_scan_refuses_before_enumerating_time_regression(argv, exit_code):
+    code, seconds, out, _ = _fresh_run(argv)
+    assert (code, out) == (exit_code, "")
+    assert seconds < 1.0
 
 
 def test_exit_code_budget_error():
@@ -435,11 +475,7 @@ def test_large_bernoulli_cells_time_regression(call, expected):
         f"{call}\n"
         "print(value, time.perf_counter() - start)\n"
     )
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    value, seconds = done.stdout.split()
+    value, seconds = fresh_interpreter(code).stdout.split()
     assert value == expected
     assert float(seconds) < 1.0
 
@@ -447,25 +483,11 @@ def test_large_bernoulli_cells_time_regression(call, expected):
 def test_rational_roots_of_a_large_constant_term_time_regression():
     # trial division over the divisors of 10^18 + 3 had not finished
     # after 45 s on a 2-core machine
-    code = (
-        "import io, sys, time\n"
-        "from algentropy.cli import run\n"
-        "out = io.StringIO()\n"
-        "start = time.perf_counter()\n"
-        "code = run(['mahler', 'measure', '--poly', '1000000000000000003,1,1'], out, sys.stderr)\n"
-        "print(code, time.perf_counter() - start)\n"
-        "print(out.getvalue())\n"
-    )
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    status, payload = done.stdout.split("\n", 1)
-    exit_code, seconds = status.split()
-    assert exit_code == "0"
-    assert float(seconds) < 1.0
+    code, seconds, out, _ = _fresh_run(["mahler", "measure", "--poly", "1000000000000000003,1,1"])
+    assert code == 0
+    assert seconds < 1.0
     # both roots have modulus sqrt(10^18 + 3)
-    assert math.isclose(float(json.loads(payload)["value"]), math.log(10**18 + 3))
+    assert math.isclose(float(json.loads(out)["value"]), math.log(10**18 + 3))
 
 
 def test_readme_examples_byte_identical():

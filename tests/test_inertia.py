@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from algentropy.abelian import (
     Endo,
     FgAbGroup,
+    endo_preimage_subgroup,
     subgroup_from_generators,
     subgroup_intersect,
     subgroup_sum,
@@ -25,6 +26,7 @@ from algentropy.base import INFINITE, is_finite
 from algentropy.cayley import symmetric
 from algentropy.errors import NotDivisibleError, UnsupportedAmbientError
 from algentropy.inertia import (
+    _fg_preimage,
     almost_contained,
     commensurable,
     cylinder_inert_index,
@@ -38,7 +40,14 @@ from algentropy.inertia import (
     strict_inert_index,
 )
 from algentropy.models import CylinderFamily
-from algentropy.rational import QSpace, RationalEndo, RationalLattice
+from algentropy.rational import (
+    QSpace,
+    RationalEndo,
+    RationalLattice,
+    endo_apply_lattice,
+    lattice_intersect,
+    preimage_in_lattice,
+)
 
 
 def test_almost_containment_on_integers():
@@ -226,6 +235,38 @@ def test_witness_matches_the_ladder_on_groups_with_torsion():
         assert cert.inertial == (expected is None)
         if expected is not None:
             assert cert.witness == expected
+
+
+def test_one_step_preimage_is_the_meet_with_the_full_preimage():
+    # the oracle is the two-step route: the full preimage, then a meet
+    draw = random.Random("preimage")
+    groups = [FgAbGroup([], 2), FgAbGroup([], 3), FgAbGroup([4], 1), FgAbGroup([2, 8]),
+              FgAbGroup([6], 2), FgAbGroup([3]), FgAbGroup([], 1), FgAbGroup([])]
+    for _ in range(400):
+        group = draw.choice(groups)
+        r = group.free_rank
+        phi = _random_endo(draw, group, [[draw.randint(-3, 3) for _ in range(r)]
+                                         for _ in range(r)])
+        target, within = (
+            subgroup_from_generators(group, [[draw.randint(-4, 4) for _ in range(group.dim)]
+                                             for _ in range(draw.randint(0, 3))])
+            for _ in range(2))
+        expected = subgroup_intersect(within, endo_preimage_subgroup(phi, target))
+        assert _fg_preimage(phi, target, within) == expected
+    # on Q^n the full preimage of a lattice is one only for an invertible map
+    for _ in range(400):
+        dim = draw.randint(1, 3)
+        phi = RationalEndo(dim, [[Fraction(draw.randint(-5, 5), draw.randint(1, 3))
+                                  for _ in range(dim)] for _ in range(dim)])
+        if phi.det() == 0:
+            continue
+        target, within = (
+            RationalLattice.from_rows(dim, [[Fraction(draw.randint(-6, 6), draw.randint(1, 4))
+                                             for _ in range(dim)]
+                                            for _ in range(draw.randint(0, dim))])
+            for _ in range(2))
+        expected = lattice_intersect(within, endo_apply_lattice(phi.invert(), target))
+        assert preimage_in_lattice(phi, target, within) == expected
 
 
 def test_every_endo_of_a_finite_group_is_inertial():

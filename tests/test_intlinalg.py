@@ -197,24 +197,6 @@ def test_intersect_exact_small_case():
     assert ila.lattice_intersect(a, b, 2) == ((2, 2),)
 
 
-@settings(max_examples=60)
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=2, max_size=2), st.lists(st.integers(-8, 8), min_size=2, max_size=2))
-def test_solve_integer_against_brute_force(mat, b):
-    got = ila.solve_integer(mat, b, 2)
-    found = None
-    for x in range(-40, 41):
-        for y in range(-40, 41):
-            if all(r[0] * x + r[1] * y == t for r, t in zip(mat, b)):
-                found = (x, y)
-                break
-        if found:
-            break
-    if got is None:
-        assert found is None
-    else:
-        assert [sum(r[j] * got[j] for j in range(2)) for r in mat] == list(b)
-
-
 def test_hnf_with_transform_reconstructs():
     rows = [[6, 4], [2, 8]]
     h, u = ila.hnf_with_transform(rows)

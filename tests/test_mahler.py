@@ -9,21 +9,17 @@ import io
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from fresh import fresh_interpreter
 
-import algentropy
 from algentropy import mahler
 from algentropy.cli import run
 from algentropy.errors import DomainError, IndeterminateMeasureError
@@ -116,15 +112,6 @@ def test_cyclotomic_polynomials_match_sympy():
         assert ours == theirs
 
 
-def _fresh_interpreter(code):
-    """Stdout of ``code`` run in a new interpreter (empty caches, no imports)."""
-    paths = [str(Path(algentropy.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    return done.stdout
-
-
 def test_kronecker_cold_cache_regression():
     # a fresh process starts with an empty cyclotomic table; filling it by
     # Fraction division made this call take close to a minute
@@ -136,7 +123,7 @@ def test_kronecker_cold_cache_regression():
         "verdict = kronecker_test(IntPolynomial([1, 1] + [0] * 18 + [1]))\n"
         "print(verdict, time.perf_counter() - start)\n"
     )
-    verdict, seconds = _fresh_interpreter(code).split()
+    verdict, seconds = fresh_interpreter(code).stdout.split()
     assert verdict == "False"
     assert float(seconds) < 10.0
 
@@ -151,7 +138,7 @@ def _cold_call_seconds(expr):
         f"value = {expr}\n"
         "print(repr(value), time.perf_counter() - start, sep='\\n')\n"
     )
-    value, seconds = _fresh_interpreter(code).splitlines()
+    value, seconds = fresh_interpreter(code).stdout.splitlines()
     return value, float(seconds)
 
 
@@ -642,4 +629,4 @@ def test_no_numpy_on_any_path():
         "assert run(['entropy', 'halg', '--matrix', '[[1/2,3],[2,-1/3]]'], stdout=out) == 0\n"
         "print('numpy' in sys.modules)\n"
     )
-    assert _fresh_interpreter(code).split() == ["False"]
+    assert fresh_interpreter(code).stdout.split() == ["False"]
