@@ -547,11 +547,10 @@ def _fg_or_lattice_pair(args):
 
 def _cmd_entropy_adjoint(args, cfg):
     phi, h = _fg_or_lattice_pair(args)
-    if args.steps > cfg.max_steps:
-        raise BudgetExceededError(f"{args.steps} steps exceed max_steps {cfg.max_steps}")
+    # the step budget is checked before the entropy is computed
+    tail = adjoint_cotrajectory(phi, h, args.steps, cfg) if args.steps else None
     payload = _report_payload(intrinsic_adjoint_entropy(phi, h, cfg))
-    if args.steps:
-        tail = adjoint_cotrajectory(phi, h, args.steps)
+    if tail is not None:
         payload["cotrajectory_basis"] = _basis_payload(tail)
     return payload
 

@@ -504,16 +504,22 @@ def _cotrajectory_ops(phi, h):
     return _ambient_ops(h, phi)
 
 
-def adjoint_cotrajectory(phi, h, n):
+def adjoint_cotrajectory(phi, h, n, config=None):
     """C_n = H ∩ phi^{-1}(H) ∩ ... ∩ phi^{-n+1}(H), canonical.
+
+    Each step is one preimage, so n past the session's ``max_steps``
+    raises BudgetExceededError before any is taken.
 
     >>> from .rational import RationalEndo, RationalLattice
     >>> half = RationalEndo.scalar(1, Fraction(1, 2))
     >>> adjoint_cotrajectory(half, RationalLattice.standard(1), 3).basis
     ((Fraction(4, 1),),)
     """
+    cfg = config or default_config()
     if n < 1:
         raise DomainError("cotrajectory needs n >= 1")
+    if n > cfg.max_steps:
+        raise BudgetExceededError(f"{n} steps exceed max_steps {cfg.max_steps}")
     ops = _cotrajectory_ops(phi, h)
     return next(islice(_cotrajectory(ops, phi, h), n - 1, None))
 

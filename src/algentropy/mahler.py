@@ -9,8 +9,10 @@ lifting (see :mod:`algentropy.polynomial`).  Only the root moduli of the
 surviving factors are numeric, and even there the error bound is
 rigorous: approximations get Weierstrass disks D(z_i, d*|W_i|) whose
 radii are bounded in integer arithmetic on the exact dyadic values of
-the points (a connected component of m disks contains exactly m roots),
-so the returned interval always contains the true measure.
+the points and then rounded up to dyadic numbers of 64 significant bits
+(a larger disk still holds its root; a connected component of m disks
+contains exactly m roots), so the returned interval always contains the
+true measure.
 
 Two refinement schedules are available ("aberth" over machine complex
 numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
@@ -51,7 +53,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import _prime_factors
 from .config import default_config
 from .errors import DomainError, BudgetExceededError, IndeterminateMeasureError
 from .polynomial import (
@@ -114,8 +115,6 @@ def cyclotomic_polynomial(n):
     return f
 
 
-# (k, phi(k)) for k = 1, 2, ..., grown on demand
-_TOTIENTS = []
 # degree d -> ((k, phi(k), Phi_k(2)), ...) over the k with phi(k) <= d
 _ORDERS = {}
 
@@ -139,18 +138,28 @@ def _phi_at_two(k, primes):
 def _orders(d):
     """(k, phi(k), Phi_k(2)) for every k with phi(k) <= d, in increasing k.
 
-    phi(k) >= sqrt(k/2), so such k are at most 2 d^2.
+    phi is multiplicative and phi(p^a) = p^(a-1) (p - 1) >= p - 1, so each
+    such k is a product of prime powers p^a with p <= d + 1 whose totients
+    multiply to at most d.  The walk extends every product found so far
+    by the powers of each prime in turn, so it meets each such k once.
     """
     cached = _ORDERS.get(d)
     if cached is None:
-        for k in range(len(_TOTIENTS) + 1, 2 * d * d + 1):
-            phi = k
-            for q in _prime_factors(k):
-                phi -= phi // q
-            _TOTIENTS.append((k, phi))
+        found = [(1, 1, ())] if d > 0 else []  # (k, phi(k), primes of k)
+        sieve = bytearray([1]) * (d + 2)
+        for p in range(2, d + 2):
+            if not sieve[p]:
+                continue
+            sieve[p * p::p] = bytes(len(range(p * p, d + 2, p)))
+            for k, phi, primes in found[:]:
+                q, phi_q = p, phi * (p - 1)
+                while phi_q <= d:
+                    found.append((k * q, phi_q, primes + (p,)))
+                    q *= p
+                    phi_q *= p
+        found.sort()
         cached = _ORDERS[d] = tuple(
-            (k, phi, _phi_at_two(k, _prime_factors(k)))
-            for k, phi in _TOTIENTS[: 2 * d * d] if phi <= d
+            (k, phi, _phi_at_two(k, primes)) for k, phi, primes in found
         )
     return cached
 
@@ -165,20 +174,22 @@ def _peel_cyclotomics(g):
     Returns (reduced g, number of roots removed).
     """
     removed = 0
+    deg = g.degree
     at_two = _horner(g.coeffs, 2)
-    for k, phi_k, phi_at_two in _orders(g.degree):
-        if g.degree <= 0 or k > 2 * g.degree**2:
-            break
-        if phi_k > g.degree or at_two % phi_at_two:
+    for k, phi_k, phi_at_two in _orders(deg):
+        if phi_k > deg or at_two % phi_at_two:
             continue
         phi = cyclotomic_polynomial(k)
-        while phi.degree <= g.degree:
+        while phi_k <= deg:
             try:
                 g = exact_div(g, phi)
             except ValueError:
                 break
-            removed += phi.degree
+            removed += phi_k
+            deg -= phi_k
             at_two //= phi_at_two
+        if not deg:
+            break
     return g, removed
 
 
@@ -222,6 +233,8 @@ def kronecker_test(f):
 
 # fractional bits of the floor/ceil square-root bounds
 _SQRT_BITS = 100
+# significant bits of the rounded-up Weierstrass radii
+_RADIUS_BITS = 64
 
 
 def _dyadic(x):
@@ -244,14 +257,54 @@ def _sqrt_floor(n, shift):
     return math.isqrt(n << bits if bits >= 0 else n >> -bits)
 
 
+def _round_up_dyadic(num, den):
+    """(m, k) with num/den <= m / 2**k < (num/den) (1 + 2**-63), num >= 0.
+
+    m = ceil(2**k num/den) for the one integer k (of either sign) with
+    2**63 <= 2**k num/den < 2**64: num/den rounded up to 64 significant
+    bits.  num == 0 gives (0, 0).
+    """
+    if not num:
+        return 0, 0
+    k = _RADIUS_BITS - 1 - num.bit_length() + den.bit_length()
+    # 2**k num/den lies in (2**62, 2**64); one doubling if below 2**63
+    top, bottom = (num << k, den) if k >= 0 else (num, den << -k)
+    if top < bottom << (_RADIUS_BITS - 1):
+        top <<= 1
+        k += 1
+    return -(-top // bottom), k
+
+
 def _log_bounds(num, den=1):
     """Padded float bounds for log(num/den), num and den positive integers.
 
     The ratio is reduced first, so the bounds depend only on its value.
+    The pad is ``_LOG_PAD`` unless the reduced integers together have
+    more than 2249 bits, and then (S + 2) 2^-51 for S bits in all.
+
+    Why the pad covers the float error.  Take libm's log to err by at
+    most one ulp.  For an integer n of L bits, log n < 0.7 L, and
+    math.log(n) is within 2^-52 (1.5 + 0.95 L) of it: below 2^1024 it is
+    log of n rounded to a double (2^-53 relative, so 2^-52 in the log)
+    plus one ulp of the result, at most 2^-52 * 0.7 L; above, it is
+    log(x) + log(2) e for n ~ x 2^e with x in [1/2, 1) and e = L, and the
+    rounded x (2^-52), log(x) (2^-53), the stored log 2 (2^-54 e), the
+    product and the sum (2^-53 * 0.7 L each) add up to no more.  The
+    difference of the two logs and the two padded bounds each round once
+    more, by at most 2^-53 * 0.7 S.  So the bounds are off by less than
+    2^-52 (3 + 1.65 S) < (S + 2) 2^-51, which is at most 1e-12 for
+    S <= 2249.  In a certificate the integers are a modulus bound over
+    2^kk, where 2^-kk is the smaller of 2^-100 and the radius's dyadic
+    unit (about the radius over 2^63), so S is about 2 kk + log2 of the modulus and
+    passes 2249 only for radii below about 2^-1060 or moduli beyond about
+    2^2000; there the pad widens.
     """
     g = math.gcd(num, den)
-    x = math.log(num // g) - math.log(den // g)
-    return x - _LOG_PAD, x + _LOG_PAD
+    num //= g
+    den //= g
+    x = math.log(num) - math.log(den)
+    pad = max(_LOG_PAD, math.ldexp(num.bit_length() + den.bit_length() + 2, -51))
+    return x - pad, x + pad
 
 
 class _CertifiedRoots:
@@ -280,11 +333,16 @@ def _certify(poly, zs, tol):
     is bounded above with f(z_i) by homogeneous integer Horner,
     |f(z_i)| <= U_i / 2^100 and |z_i - z_j| >= L_ij / 2^k_ij from isqrt,
     with k_ij = 100, or a grid of 100 significant bits for roots closer
-    than 2^-100, so it is the rational
-    d * U_i * 2^(sum_j k_ij - 100) / (s * prod L_ij); disks
-    overlap by integer cross-multiplication (Neumaier, "Enclosing
-    clusters of zeros of polynomials", J. Comput. Appl. Math. 156, 2003:
-    a connected component of m disks holds exactly m roots).  Returns a
+    than 2^-100, so it is at most the rational
+    d * U_i * 2^(sum_j k_ij - 100) / (s * prod L_ij).  That rational is
+    rounded up to m_i / 2^k_i with 64 significant bits (2^63 <= m_i <=
+    2^64, k_i of either sign): a disk larger than needed still holds its
+    root, and the overlap test and the modulus bounds then work on
+    integers of about 64 bits plus the exponent gaps, not on the
+    rational's thousands of bits.  Disks overlap by integer comparison
+    on a common power of two (Neumaier, "Enclosing clusters of zeros of
+    polynomials", J. Comput. Appl. Math. 156, 2003: a connected
+    component of m disks holds exactly m roots).  Returns a
     _CertifiedRoots with ok=False when the interval is wider than tol.
     """
     d = poly.degree
@@ -326,9 +384,9 @@ def _certify(poly, zs, tol):
                 finer[i] += e + bits - _SQRT_BITS
                 finer[j] += e + bits - _SQRT_BITS
             lower[i, j] = lower[j, i] = lb
-    # radius i = rad_num[i] / rad_den[i]
-    rad_num = []
-    rad_den = []
+    # radius i = num / den <= rad_m[i] / 2^rad_k[i], rounded up
+    rad_m = []
+    rad_k = []
     for i, (x, y) in enumerate(pts):
         fre, fim = scaled[d], 0
         for c in reversed(scaled[:d]):
@@ -344,10 +402,11 @@ def _certify(poly, zs, tol):
             num <<= shift
         else:
             den <<= -shift
-        rad_num.append(num)
-        rad_den.append(den)
+        m, k = _round_up_dyadic(num, den)
+        rad_m.append(m)
+        rad_k.append(k)
     # connected components of the disk-overlap graph:
-    # |z_i - z_j|^2 <= (r_i + r_j)^2, cleared of denominators
+    # |z_i - z_j|^2 <= (r_i + r_j)^2 on the common exponent 2^-kk
     parent = list(range(d))
 
     def find(a):
@@ -358,9 +417,14 @@ def _certify(poly, zs, tol):
 
     for i in range(d):
         for j in range(i):
-            dd = rad_den[i] * rad_den[j]
-            reach = rad_num[i] * rad_den[j] + rad_num[j] * rad_den[i]
-            if dist2[i, j] * dd * dd <= (reach * reach) << (2 * e):
+            kk = max(rad_k[i], rad_k[j])
+            reach = (rad_m[i] << (kk - rad_k[i])) + (rad_m[j] << (kk - rad_k[j]))
+            shift = 2 * (kk - e)
+            if shift >= 0:
+                close = dist2[i, j] << shift <= reach * reach
+            else:
+                close = dist2[i, j] <= (reach * reach) << -shift
+            if close:
                 parent[find(i)] = find(j)
     comps = {}
     for i in range(d):
@@ -370,17 +434,18 @@ def _certify(poly, zs, tol):
     pads = 0
     for members in comps.values():
         # lo = min(|z_i| - r_i), hi = max(|z_i| + r_i), each a ratio
-        # (num, den) over den = rad_den << 100
+        # (num, 2^kk) with kk = max(100, rad_k[i])
         lo = hi = None
         for i in members:
             x, y = pts[i]
             m2 = x * x + y * y
             m_lo = _sqrt_floor(m2, 2 * e)
             m_hi = m_lo + 1 if m2 else 0
-            rn, rd = rad_num[i] << _SQRT_BITS, rad_den[i]
-            den = rd << _SQRT_BITS
-            cand_lo = (m_lo * rd - rn, den)
-            cand_hi = (m_hi * rd + rn, den)
+            kk = max(_SQRT_BITS, rad_k[i])
+            rn = rad_m[i] << (kk - rad_k[i])
+            den = 1 << kk
+            cand_lo = ((m_lo << (kk - _SQRT_BITS)) - rn, den)
+            cand_hi = ((m_hi << (kk - _SQRT_BITS)) + rn, den)
             if lo is None or cand_lo[0] * lo[1] < lo[0] * cand_lo[1]:
                 lo = cand_lo
             if hi is None or cand_hi[0] * hi[1] > hi[0] * cand_hi[1]:

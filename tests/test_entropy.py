@@ -708,6 +708,20 @@ def test_adjoint_cotrajectory_values():
         adjoint_cotrajectory(half, RationalLattice.standard(1), 0)
 
 
+def test_adjoint_cotrajectory_past_max_steps_is_a_budget_error():
+    # 10**30 steps raised a bare ValueError from islice
+    half = RationalEndo.scalar(1, Fraction(1, 2))
+    line = RationalLattice.standard(1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="max_steps"):
+        adjoint_cotrajectory(half, line, 10**30)
+    assert time.perf_counter() - start < 1.0
+    cfg = replace(default_config(), max_steps=3)
+    with pytest.raises(BudgetExceededError):
+        adjoint_cotrajectory(half, line, 4, cfg)
+    assert adjoint_cotrajectory(half, line, 3, cfg).basis == ((Fraction(4),),)
+
+
 def test_intrinsic_adjoint_entropy_values():
     for p in (2, 3, 5):
         r = intrinsic_adjoint_entropy(

@@ -161,6 +161,35 @@ def test_measure_degree_40_cold_cache():
     assert seconds < 1.0
 
 
+def test_orders_are_every_k_with_small_totient():
+    # phi(k) >= sqrt(k/2), so every k with phi(k) <= 60 is at most 7200
+    totients = {k: int(sympy.totient(k)) for k in range(1, 2 * 60**2 + 1)}
+    for d in range(61):
+        want = [(k, phi) for k, phi in totients.items() if phi <= d]
+        got = mahler._orders(d)
+        assert [(k, phi) for k, phi, _ in got] == want, d
+    for k, _, at_two in got:
+        assert at_two == mahler._horner(cyclotomic_polynomial(k).coeffs, 2)
+
+
+def test_degree_200_measure_cold_cli_time_regression():
+    # t^200 + t + 1 took 24.8 s: the disk-overlap test cross-multiplied
+    # radii of about 15,000 bits, and the cyclotomic orders were found by
+    # trial-factoring every k <= 2 * 200^2
+    code = (
+        "import io, json, time\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "code = run(['mahler', 'measure', '--poly', '1,1' + ',0' * 198 + ',1'], stdout=out)\n"
+        "seconds = time.perf_counter() - start\n"
+        "print(json.dumps([code, json.loads(out.getvalue()), seconds]))\n"
+    )
+    code, payload, seconds = json.loads(fresh_interpreter(code).stdout)
+    assert code == 0 and payload["roots_outside"] == "132" and not payload["exact"]
+    assert seconds < 3.0
+
+
 def _oracle_peel(g):
     """The full cyclotomic peel: try Phi_k for every k <= 2 deg(g)^2."""
     removed = 0
@@ -388,14 +417,32 @@ def _fraction_sqrt_bounds(q, bits=100):
 
 def _fraction_log_bounds(q):
     x = math.log(q.numerator) - math.log(q.denominator)
-    return x - 1e-12, x + 1e-12
+    # the documented pad: 1e-12, widened to (bits + 2) 2^-51 past 2249 bits
+    pad = max(1e-12, math.ldexp(q.numerator.bit_length() + q.denominator.bit_length() + 2, -51))
+    return x - pad, x + pad
+
+
+def round_up_64(r):
+    """r >= 0 rounded up to 64 significant bits.
+
+    ceil(r 2^k) / 2^k for the integer k with 2^63 <= r 2^k < 2^64; 0 stays 0.
+    """
+    if r == 0:
+        return r
+    k = 63 - (r.numerator.bit_length() - r.denominator.bit_length())
+    while r * Fraction(2) ** k >= 2**64:
+        k -= 1
+    while r * Fraction(2) ** k < 2**63:
+        k += 1
+    return Fraction(math.ceil(r * Fraction(2) ** k)) / Fraction(2) ** k
 
 
 def fraction_certify(poly, zs, tol):
     """The disk test in Fraction arithmetic, point by point.
 
     Same bounds as mahler._certify (100-bit isqrt floors and ceilings of
-    every modulus), computed with no common scale and no integer
+    every modulus, each exact radius rounded up to 64 significant bits
+    by ``round_up_64``), computed with no common scale and no integer
     clearing of denominators.  Returns (contrib_lo, contrib_hi,
     roots_outside, ok); the approximations must be distinct.
     """
@@ -414,7 +461,7 @@ def fraction_certify(poly, zs, tol):
                 denom_lb *= _fraction_sqrt_bounds((re - re2) ** 2 + (im - im2) ** 2)[0]
         if denom_lb <= 0:
             return 0.0, 0.0, 0, False
-        radii.append(d * f_ub / (s * denom_lb))
+        radii.append(round_up_64(d * f_ub / (s * denom_lb)))
         mods.append(_fraction_sqrt_bounds(re * re + im * im))
     parent = list(range(d))
 
@@ -441,6 +488,18 @@ def fraction_certify(poly, zs, tol):
             total_lo += len(members) * max(0.0, _fraction_log_bounds(lo)[0])
             outside += len(members)
     return total_lo, total_hi, outside, total_hi - total_lo <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**300), st.integers(1, 2**300))
+@example(2**64 - 1, 1)
+@example(2**64 + 1, 2**130)
+@example(1, 3 * 2**500)
+def test_rounded_radius_is_a_tight_upper_bound(num, den):
+    m, k = mahler._round_up_dyadic(num, den)
+    rounded, exact = Fraction(m) / Fraction(2) ** k, Fraction(num, den)
+    assert rounded == round_up_64(exact)
+    assert exact <= rounded <= exact * (1 + Fraction(1, 2**62))
 
 
 def _fields(cert):
@@ -612,6 +671,54 @@ def test_huge_coefficient_cli_exit_codes():
     assert json.loads(out.getvalue())["roots_outside"] == "1"
     assert run(["mahler", "measure", "--poly", f"3,{_HUGE},0,1"], stdout=out, stderr=err) == 0
     assert time.perf_counter() - start < 15.0
+
+
+def _polished_root_contribution(poly):
+    """log|lc| + sum log max(1, |root|) at 60 digits, squarefree poly only.
+
+    numpy's companion-matrix roots, each polished by mpmath Newton steps
+    at 60 digits until the step is below 1e-55; the polished roots must
+    be pairwise apart, so each true root is counted once.
+    """
+    import numpy
+
+    desc = list(reversed(poly.coeffs))
+    with mpmath.workdps(60):
+        roots = []
+        for start in numpy.roots([float(c) for c in desc]):
+            z = mpmath.mpc(complex(start))
+            for _ in range(20):
+                value, slope = mpmath.polyval(desc, z, derivative=True)
+                step = value / slope
+                z -= step
+                if abs(step) < mpmath.mpf("1e-55") * max(1, abs(z)):
+                    break
+            else:
+                raise AssertionError(f"Newton did not settle near {start}")
+            roots.append(z)
+        assert min(abs(a - b) for i, a in enumerate(roots) for b in roots[:i]) > 1e-20
+        return mpmath.log(abs(desc[0])) + sum(mpmath.log(abs(z)) for z in roots if abs(z) > 1)
+
+
+@pytest.mark.parametrize("degree", range(20, 101, 10))
+def test_high_degree_intervals_contain_the_mpmath_value(degree):
+    # seeded coefficients in [-3, 3], constant term +-1 and leading
+    # coefficient 1, 2 or -3; the certificate rounds its radii up and pads
+    # each log, and the interval must still hold the 60-digit value
+    draw = random.Random(f"containment/{degree}")
+    while True:
+        coeffs = ([draw.choice([-1, 1])] + [draw.randint(-3, 3) for _ in range(degree - 1)]
+                  + [draw.choice([1, 2, -3])])
+        f = IntPolynomial(coeffs)
+        if gcd_primitive(f, f.derivative()).degree == 0:
+            break
+    schedules = ["aberth", "durand_kerner"] if degree == 20 else ["aberth"]
+    truth = _polished_root_contribution(f)
+    for schedule in schedules:
+        res = mahler_measure(f, schedule=schedule)
+        with mpmath.workdps(60):
+            err = mpmath.mpf(res.error_bound.numerator) / res.error_bound.denominator
+            assert res.value - err <= truth <= res.value + err, (schedule, res)
 
 
 def test_no_numpy_on_any_path():
