@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from .base import INFINITE
 from .errors import (
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class FgAbGroup:
     """Ambient group ``Z/d_1 + ... + Z/d_k + Z^r``.
 
@@ -50,7 +52,8 @@ class FgAbGroup:
     12
     """
 
-    __slots__ = ("invariant_factors", "free_rank")
+    invariant_factors: tuple
+    free_rank: int
 
     def __init__(self, invariant_factors, free_rank=0):
         factors = tuple(int(d) for d in invariant_factors)
@@ -64,9 +67,6 @@ class FgAbGroup:
             raise ValueError("free rank must be >= 0")
         object.__setattr__(self, "invariant_factors", factors)
         object.__setattr__(self, "free_rank", int(free_rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
 
     @property
     def torsion_length(self):
@@ -92,7 +92,7 @@ class FgAbGroup:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def relation_rows(self):
-        """Rows spanning Lambda = <d_i e_i> inside Z^dim."""
+        """Rows spanning Lambda = <d_i e_i> inside Z^dim, in Hermite form."""
         n = self.dim
         return tuple(
             tuple(d if j == i else 0 for j in range(n))
@@ -121,7 +121,7 @@ class FgAbGroup:
             yield GroupElement(self, coords)
 
     def zero_subgroup(self):
-        return Subgroup(self, ila.hnf(self.relation_rows()))
+        return Subgroup(self, self.relation_rows())
 
     def full_subgroup(self):
         return Subgroup(self, ila.identity(self.dim))
@@ -130,16 +130,6 @@ class FgAbGroup:
         k, n = self.torsion_length, self.dim
         rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(k))
         return Subgroup(self, ila.hnf(rows + self.relation_rows()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FgAbGroup)
-            and self.invariant_factors == other.invariant_factors
-            and self.free_rank == other.free_rank
-        )
-
-    def __hash__(self):
-        return hash((self.invariant_factors, self.free_rank))
 
     def __repr__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]
@@ -150,17 +140,16 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class GroupElement:
     """An element of an :class:`FgAbGroup`, stored as canonical coordinates."""
 
-    __slots__ = ("group", "coords")
+    group: FgAbGroup
+    coords: tuple
 
     def __init__(self, group, coords):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
 
     def __add__(self, other):
         _same_group(self, other)
@@ -190,16 +179,6 @@ class GroupElement:
                 n = math.lcm(n, d // math.gcd(c, d))
         return n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.group == other.group
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
-
     def __repr__(self):
         return f"{self.coords} in {self.group}"
 
@@ -209,6 +188,7 @@ def _same_group(a, b):
         raise AmbientMismatchError(f"ambients differ: {a.group} vs {b.group}")
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Subgroup:
     """Subgroup of an :class:`FgAbGroup`, canonically a lattice over Lambda.
 
@@ -217,14 +197,12 @@ class Subgroup:
     subgroups are equal iff their bases are identical tuples.
     """
 
-    __slots__ = ("group", "basis")
+    group: FgAbGroup
+    basis: tuple
 
     def __init__(self, group, basis):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
 
     def contains(self, elem):
         _same_group_sub(self, elem)
@@ -236,34 +214,17 @@ class Subgroup:
 
     def order(self):
         """Number of elements of the subgroup (INFINITE when it has free rank)."""
-        lam = ila.hnf(self.group.relation_rows())
-        return ila.index_in(self.basis, lam)
-
-    def lattice_rank(self):
-        return len(self.basis)
+        return ila.index_in(self.basis, self.group.relation_rows())
 
     def free_rank(self):
         return len(self.basis) - self.group.torsion_length
 
     def is_zero(self):
-        return self.basis == ila.hnf(self.group.relation_rows())
+        return self.basis == self.group.relation_rows()
 
     def elements(self):
         """All elements (requires a finite subgroup of a finite ambient)."""
         return [g for g in self.group.elements() if self.contains(g)]
-
-    def generator_elements(self):
-        return [self.group.element(row) for row in self.basis]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group == other.group
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.basis))
 
     def __repr__(self):
         return f"Subgroup{self.basis} of {self.group}"
@@ -279,6 +240,7 @@ def _same_ambient(h, k):
         raise AmbientMismatchError(f"ambients differ: {h.group} vs {k.group}")
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Endo:
     """Endomorphism of an :class:`FgAbGroup` as an integer matrix on columns.
 
@@ -292,7 +254,8 @@ class Endo:
     (2, 3)
     """
 
-    __slots__ = ("group", "matrix")
+    group: FgAbGroup
+    matrix: tuple
 
     def __init__(self, group, matrix):
         n = group.dim
@@ -317,9 +280,6 @@ class Endo:
                 mat[j][i] %= ds[j]
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in mat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Endo is immutable")
 
     def apply(self, elem):
         _same_group_sub_endo(self, elem)
@@ -351,16 +311,6 @@ class Endo:
 
     def is_identity(self):
         return self.matrix == _identity_endo_matrix(self.group)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Endo)
-            and self.group == other.group
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.matrix))
 
     def __repr__(self):
         return f"Endo{self.matrix} on {self.group}"

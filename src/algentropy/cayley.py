@@ -9,8 +9,10 @@ the group axioms.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 from .base import _prime_factors, setwise_trajectory
+from .config import default_config
 from .errors import DomainError
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class FiniteGroup:
     """A group on {0, ..., n-1} given by its full multiplication table.
 
@@ -37,7 +40,9 @@ class FiniteGroup:
     5
     """
 
-    __slots__ = ("table", "identity", "_inverses")
+    table: tuple
+    identity: int
+    _inverses: tuple = field(compare=False)
 
     def __init__(self, table, identity=None):
         table = tuple(tuple(row) for row in table)
@@ -99,9 +104,6 @@ class FiniteGroup:
                 gens.append(x)
                 closure = set(self.subgroup_generated(gens))
         return gens
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
 
     @property
     def order(self):
@@ -221,16 +223,6 @@ class FiniteGroup:
 
     def automorphisms(self):
         return tuple(isomorphisms(self, self))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and other.table == self.table
-            and other.identity == self.identity
-        )
-
-    def __hash__(self):
-        return hash((self.table, self.identity))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -372,7 +364,9 @@ def isomorphic(a, b):
 def finite_group_trajectory(group, phi, subset, n):
     """The setwise product T_n = F * F^phi * ... * F^{phi^n}.
 
-    ``phi`` is an index map, verified to be an endomorphism.
+    ``phi`` is an index map, verified to be an endomorphism.  n past the
+    session's ``max_steps`` raises BudgetExceededError before any step is
+    taken.
 
     >>> G = symmetric(3)
     >>> phi = G.identity_map()
@@ -381,6 +375,7 @@ def finite_group_trajectory(group, phi, subset, n):
     """
     if n < 0:
         raise DomainError("step count must be >= 0")
+    default_config().check_steps(n)
     steps = _product_trajectory(group, phi, subset)
     return frozenset(next(itertools.islice(steps, n, None)))
 

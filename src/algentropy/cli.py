@@ -56,7 +56,7 @@ from .entropy import (
     scale_over_family,
     sumset_growth,
 )
-from .errors import BudgetExceededError, DomainError, ParseError, ResourceError
+from .errors import DomainError, ParseError, ResourceError
 from .fully_inert import (
     GroupDescriptor,
     PrimePart,
@@ -654,8 +654,7 @@ def _cmd_nonabelian_traj(args, cfg):
     sub = None
     if args.n < 0:
         raise DomainError("step count must be >= 0")
-    if args.n > cfg.max_steps:
-        raise BudgetExceededError(f"{args.n} steps exceed max_steps {cfg.max_steps}")
+    cfg.check_steps(args.n)
     if args.subgroup is not None:
         sub = frozenset(_as_int(x, "element") for x in _load_json(args.subgroup, "subgroup"))
     sets = list(islice(_product_trajectory(group, phi, subset), args.n + 1))

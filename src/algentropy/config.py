@@ -9,6 +9,8 @@ at a proven limit; ``max_steps`` only bounds how far it looks for it.
 import os
 from dataclasses import dataclass
 
+from .errors import BudgetExceededError
+
 __all__ = ["SessionConfig", "default_config"]
 
 _ENV_PREFIX = "ALGENTROPY_"
@@ -19,7 +21,6 @@ class SessionConfig:
     tolerance: float = 1e-9
     max_steps: int = 64
     element_cap: int = 10**6
-    refine_iterations: int = 200
     output_mode: str = "json"
 
     def __post_init__(self):
@@ -29,6 +30,11 @@ class SessionConfig:
             raise ValueError("step counts must be >= 1")
         if self.output_mode not in ("json", "text"):
             raise ValueError("output_mode must be 'json' or 'text'")
+
+    def check_steps(self, n):
+        """Raise BudgetExceededError when n steps exceed ``max_steps``."""
+        if n > self.max_steps:
+            raise BudgetExceededError(f"{n} steps exceed max_steps {self.max_steps}")
 
 
 def default_config():
@@ -41,8 +47,6 @@ def default_config():
         kwargs["max_steps"] = int(env[_ENV_PREFIX + "MAX_STEPS"])
     if _ENV_PREFIX + "ELEMENT_CAP" in env:
         kwargs["element_cap"] = int(env[_ENV_PREFIX + "ELEMENT_CAP"])
-    if _ENV_PREFIX + "REFINE_ITERATIONS" in env:
-        kwargs["refine_iterations"] = int(env[_ENV_PREFIX + "REFINE_ITERATIONS"])
     if _ENV_PREFIX + "OUTPUT_MODE" in env:
         kwargs["output_mode"] = env[_ENV_PREFIX + "OUTPUT_MODE"]
     return SessionConfig(**kwargs)

@@ -213,7 +213,8 @@ def trajectory(phi, f, n, cap=None):
     For a shift group pass the group itself as ``phi`` (its canonical
     endomorphism is the right shift) and generators of F; the result is
     the full element set, of at most ``cap`` elements (default: the
-    session's ``element_cap``).
+    session's ``element_cap``).  n past the session's ``max_steps``
+    raises BudgetExceededError before any step is taken.
 
     >>> from .rational import RationalEndo, RationalLattice
     >>> phi = RationalEndo.scalar(1, Fraction(3, 2))
@@ -222,6 +223,7 @@ def trajectory(phi, f, n, cap=None):
     """
     if n < 1:
         raise DomainError("trajectory needs n >= 1")
+    default_config().check_steps(n)
     if isinstance(phi, ShiftGroup):
         steps = _shift_trajectory(phi, _shift_gens(phi, f), cap)
         return frozenset(next(islice(steps, n - 1, None)))
@@ -518,8 +520,7 @@ def adjoint_cotrajectory(phi, h, n, config=None):
     cfg = config or default_config()
     if n < 1:
         raise DomainError("cotrajectory needs n >= 1")
-    if n > cfg.max_steps:
-        raise BudgetExceededError(f"{n} steps exceed max_steps {cfg.max_steps}")
+    cfg.check_steps(n)
     ops = _cotrajectory_ops(phi, h)
     return next(islice(_cotrajectory(ops, phi, h), n - 1, None))
 

@@ -74,6 +74,10 @@ __all__ = [
 # padding absorbing float rounding when exact rational bounds pass through log()
 _LOG_PAD = 1e-12
 
+# root-refinement sweeps one factor may spend across all its precisions
+# before its measure is reported indeterminate
+_REFINE_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class MahlerResult:
@@ -307,19 +311,17 @@ def _log_bounds(num, den=1):
     return x - pad, x + pad
 
 
+@dataclass(slots=True)
 class _CertifiedRoots:
     """Outcome of the exact Weierstrass certification of one factor."""
 
-    __slots__ = ("contrib_lo", "contrib_hi", "roots_outside", "ok", "pads")
-
-    def __init__(self, contrib_lo, contrib_hi, roots_outside, ok, pads=0):
-        self.contrib_lo = contrib_lo
-        self.contrib_hi = contrib_hi
-        self.roots_outside = roots_outside
-        self.ok = ok
-        # every certificate of the same polynomial is wider than this many
-        # log paddings
-        self.pads = pads
+    contrib_lo: float
+    contrib_hi: float
+    roots_outside: int
+    ok: bool
+    # every certificate of the same polynomial is wider than this many
+    # log paddings
+    pads: int = 0
 
 
 def _certify(poly, zs, tol):
@@ -610,11 +612,11 @@ def _check_floor(poly, cert, tol):
         )
 
 
-def _enclose_factor(poly, tol, schedule, budget):
+def _enclose_factor(poly, tol, schedule):
     """Certified enclosure of the root contribution of one squarefree factor."""
     import mpmath
 
-    iters_left = budget
+    iters_left = _REFINE_ITERATIONS
     seeds = None
     if schedule == "aberth":
         try:
@@ -687,7 +689,7 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
         tol = cfg.tolerance
     if f.is_zero():
         raise DomainError("the zero polynomial has no Mahler measure")
-    exact_q = Fraction(abs(f.content()))
+    exact_q = abs(f.content())
     work = f.primitive()
     _, work = work.strip_t_power()
     outside = 0
@@ -700,28 +702,23 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
                 if factor.degree > 0:
                     roots, factor = rational_roots(factor)
                     for r in roots:
-                        exact_q *= Fraction(max(abs(r.numerator), r.denominator)) ** mult
+                        exact_q *= max(abs(r.numerator), r.denominator) ** mult
                         if abs(r) > 1:
                             outside += mult
             if factor.degree > 0:
                 # g and (-1)^deg g(-t) have the same root moduli: one value
                 numeric.append((IntPolynomial(_orbit_key(factor.coeffs)), mult))
     if not numeric:
-        value = (
-            0.0 if exact_q == 1
-            else math.log(exact_q.numerator) - math.log(exact_q.denominator)
-        )
         return MahlerResult(
-            value=value,
+            value=0.0 if exact_q == 1 else math.log(exact_q),
             error_bound=Fraction(0),
             exact=True,
-            log_of=exact_q,
+            log_of=Fraction(exact_q),
             roots_outside=outside,
             kronecker=(exact_q == 1),
             schedule="exact",
         )
     total_lo = total_hi = 0.0
-    budget = cfg.refine_iterations
     for factor, mult in numeric:
         # the factor's own leading coefficient is part of its measure
         s = abs(factor.leading)
@@ -729,12 +726,12 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
             l_lo, l_hi = _log_bounds(s)
             total_lo += mult * l_lo
             total_hi += mult * l_hi
-        cert = _enclose_factor(factor, tol / (2 * len(numeric) * mult), schedule, budget)
+        cert = _enclose_factor(factor, tol / (2 * len(numeric) * mult), schedule)
         total_lo += mult * cert.contrib_lo
         total_hi += mult * cert.contrib_hi
         outside += mult * cert.roots_outside
     if exact_q != 1:
-        q_lo, q_hi = _log_bounds(exact_q.numerator, exact_q.denominator)
+        q_lo, q_hi = _log_bounds(exact_q)
         total_lo += q_lo
         total_hi += q_hi
     value = (total_lo + total_hi) / 2

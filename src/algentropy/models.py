@@ -15,7 +15,10 @@ interesting dynamics happen on three computable infinite models:
   form in the cell order, no product element is ever materialized.
 """
 
+from __future__ import annotations
+
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -35,6 +38,7 @@ __all__ = [
     "two_sided_shift_inert_index",
 ]
 
+@dataclass(frozen=True, slots=True)
 class ShiftElement:
     """A finitely supported map position -> cell element.
 
@@ -42,14 +46,8 @@ class ShiftElement:
     sorted by position, with every coords tuple reduced and nonzero.
     """
 
-    __slots__ = ("group", "support")
-
-    def __init__(self, group, support):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "support", support)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftElement is immutable")
+    group: ShiftGroup
+    support: tuple
 
     def is_zero(self):
         return not self.support
@@ -77,16 +75,6 @@ class ShiftElement:
         support = tuple((pos + steps, c) for pos, c in self.support)
         return ShiftElement(self.group, support)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftElement)
-            and other.group == self.group
-            and other.support == self.support
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.support))
-
     def __repr__(self):
         if not self.support:
             return "ShiftElement(0)"
@@ -94,6 +82,7 @@ class ShiftElement:
         return f"ShiftElement({parts})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class ShiftGroup:
     """Direct sum of copies of a finite abelian cell, indexed by 0,1,2,...
 
@@ -108,7 +97,7 @@ class ShiftGroup:
     ((1, (1,)),)
     """
 
-    __slots__ = ("cell",)
+    cell: FgAbGroup
 
     def __init__(self, cell):
         if not isinstance(cell, FgAbGroup):
@@ -116,9 +105,6 @@ class ShiftGroup:
         if cell.free_rank != 0:
             raise DomainError("shift cell must be finite")
         object.__setattr__(self, "cell", cell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftGroup is immutable")
 
     def zero(self):
         return ShiftElement(self, ())
@@ -228,12 +214,6 @@ class ShiftGroup:
         pivots = (next((j, x) for j, x in enumerate(row) if x) for row in form)
         return math.prod(moduli[j] // x for j, x in pivots)
 
-    def __eq__(self, other):
-        return isinstance(other, ShiftGroup) and other.cell == self.cell
-
-    def __hash__(self):
-        return hash(("ShiftGroup", self.cell))
-
     def __repr__(self):
         return f"ShiftGroup({self.cell!r})"
 
@@ -242,7 +222,9 @@ def shift_trajectory_order(group, generators, n, cap=None):
     """Exact order of T_n = F + beta(F) + ... + beta^{n-1}(F).
 
     ``generators`` generate the finite subgroup F; T_n holds at most
-    ``cap`` elements (default: the session's ``element_cap``).
+    ``cap`` elements (default: the session's ``element_cap``).  n past
+    the session's ``max_steps`` raises BudgetExceededError before any
+    step is taken.
 
     >>> B = ShiftGroup(FgAbGroup([2]))
     >>> [shift_trajectory_order(B, B.first_coordinate_copy(), n)
@@ -251,6 +233,7 @@ def shift_trajectory_order(group, generators, n, cap=None):
     """
     if n <= 0:
         raise DomainError("step count must be positive")
+    default_config().check_steps(n)
     orders = map(len, _shift_trajectory(group, generators, cap))
     return next(islice(orders, n - 1, None))
 
@@ -265,6 +248,7 @@ def _shift_trajectory(group, generators, cap):
     )
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class LinearShiftSpace:
     """Finitely supported sequences over GF(p), or over Q when p = 0.
 
@@ -279,15 +263,12 @@ class LinearShiftSpace:
     ((Fraction(1, 1), Fraction(2, 1)),)
     """
 
-    __slots__ = ("p",)
+    p: int
 
     def __init__(self, p=0):
         if p != 0 and not _is_prime(p):
             raise DomainError("field descriptor must be 0 or a prime")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearShiftSpace is immutable")
 
     def _scalar(self, x):
         if self.p:
@@ -342,17 +323,12 @@ class LinearShiftSpace:
     def dim(self, vectors):
         return len(self.reduce(vectors))
 
-    def __eq__(self, other):
-        return isinstance(other, LinearShiftSpace) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("LinearShiftSpace", self.p))
-
     def __repr__(self):
         field = f"GF({self.p})" if self.p else "Q"
         return f"LinearShiftSpace({field})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class CylinderFamily:
     """Symbolic chain U_0 > U_1 > ... of cylinder subgroups.
 
@@ -366,7 +342,8 @@ class CylinderFamily:
     27
     """
 
-    __slots__ = ("cell", "two_sided")
+    cell: FgAbGroup
+    two_sided: bool
 
     def __init__(self, cell, two_sided=False):
         if not isinstance(cell, FgAbGroup):
@@ -375,9 +352,6 @@ class CylinderFamily:
             raise DomainError("cylinder cell must be finite")
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "two_sided", bool(two_sided))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CylinderFamily is immutable")
 
     @property
     def cell_order(self):
@@ -391,16 +365,6 @@ class CylinderFamily:
         if self.two_sided:
             steps *= 2
         return self.cell_order**steps
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CylinderFamily)
-            and other.cell == self.cell
-            and other.two_sided == self.two_sided
-        )
-
-    def __hash__(self):
-        return hash(("CylinderFamily", self.cell, self.two_sided))
 
     def __repr__(self):
         side = "two-sided" if self.two_sided else "one-sided"

@@ -23,6 +23,7 @@ coefficients.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import _is_prime
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class IntPolynomial:
     """Integer polynomial with ascending coefficients.
 
@@ -47,16 +49,13 @@ class IntPolynomial:
     (1, 0, -2, 0, 1)
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs):
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
 
     @property
     def degree(self):
@@ -153,12 +152,6 @@ class IntPolynomial:
         for a in reversed(self.coeffs):
             acc = acc * z + a
         return acc
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"IntPolynomial{self.coeffs}"

@@ -16,6 +16,7 @@ values enter or leave (``from_rows``, ``basis``, ``matrix``,
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import INFINITE
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class QSpace:
     """Marker for the ambient vector group Q^n.
 
@@ -45,15 +47,12 @@ class QSpace:
     QSpace(2)
     """
 
-    __slots__ = ("dim",)
+    dim: int
 
     def __init__(self, dim):
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         object.__setattr__(self, "dim", int(dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSpace is immutable")
 
     def standard_lattice(self):
         return RationalLattice.standard(self.dim)
@@ -61,16 +60,11 @@ class QSpace:
     def zero_lattice(self):
         return RationalLattice.zero(self.dim)
 
-    def __eq__(self, other):
-        return isinstance(other, QSpace) and other.dim == self.dim
-
-    def __hash__(self):
-        return hash(("QSpace", self.dim))
-
     def __repr__(self):
         return f"QSpace({self.dim})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RationalLattice:
     """Finitely generated subgroup of Q^n in canonical (den, HNF) form.
 
@@ -81,15 +75,14 @@ class RationalLattice:
     True
     """
 
-    __slots__ = ("ambient_dim", "den", "mat")
+    ambient_dim: int
+    den: int
+    mat: tuple
 
     def __init__(self, ambient_dim, den, mat):
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "den", int(den))
         object.__setattr__(self, "mat", tuple(tuple(r) for r in mat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalLattice is immutable")
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
@@ -135,17 +128,6 @@ class RationalLattice:
         _same_dim(self, other)
         _, ra, rb = _common_scale(self, other)
         return all(ila.in_lattice(row, ra) for row in rb)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalLattice)
-            and self.ambient_dim == other.ambient_dim
-            and self.den == other.den
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.den, self.mat))
 
     def __repr__(self):
         return f"RationalLattice(dim={self.ambient_dim}, den={self.den}, mat={self.mat})"
@@ -231,6 +213,7 @@ def _pivot_product(rows):
     return math.prod(next(x for x in row if x) for row in rows)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class RationalEndo:
     """Endomorphism of Q^n: the rational matrix mat / den acting on
     coordinate columns, in canonical (least den, integer mat) form.
@@ -239,7 +222,9 @@ class RationalEndo:
     ((3, 0), (6, 2))
     """
 
-    __slots__ = ("dim", "den", "mat")
+    dim: int
+    den: int
+    mat: tuple
 
     def __init__(self, dim, matrix):
         den, mat = _clear(matrix)
@@ -258,9 +243,6 @@ class RationalEndo:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalEndo is immutable")
 
     @classmethod
     def scalar(cls, dim, q):
@@ -324,17 +306,6 @@ class RationalEndo:
             for i, row in enumerate(self.mat)
             for j, x in enumerate(row)
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalEndo)
-            and self.dim == other.dim
-            and self.den == other.den
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.den, self.mat))
 
     def __repr__(self):
         return f"RationalEndo({self.matrix})"

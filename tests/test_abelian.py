@@ -109,6 +109,10 @@ def test_canonicalize_tracks_smith_form(rows):
     diag = ila.snf_invariant_factors(rows)
     assert g.free_rank == 2 - len(diag)
     assert list(g.invariant_factors) == [d for d in diag if d > 1]
+    # zero_subgroup, Subgroup.order and Subgroup.is_zero read the relation
+    # rows as their own Hermite form
+    assert ila.hnf(g.relation_rows()) == g.relation_rows()
+    assert g.zero_subgroup().is_zero() and g.zero_subgroup().order() == 1
 
 
 gen_lists = st.lists(

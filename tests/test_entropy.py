@@ -6,6 +6,7 @@ stabilization against the leading coefficient, the rational-root path
 against max(log a, log b), cotrajectory closed forms against the chain.
 """
 
+import json
 import math
 import random
 import time
@@ -17,6 +18,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fresh import fresh_interpreter
 from shift_oracle import bfs_closure
 
 from algentropy import inertia
@@ -720,6 +722,41 @@ def test_adjoint_cotrajectory_past_max_steps_is_a_budget_error():
     with pytest.raises(BudgetExceededError):
         adjoint_cotrajectory(half, line, 4, cfg)
     assert adjoint_cotrajectory(half, line, 3, cfg).basis == ((Fraction(4),),)
+
+
+@pytest.mark.parametrize("call", [
+    "trajectory(RationalEndo.scalar(1, 1), RationalLattice.standard(1), n)",
+    "shift_trajectory_order(B, [B.zero()], n)",
+    "finite_group_trajectory(cyclic(2), (0, 1), [1], n)",
+], ids=["trajectory", "shift-order", "finite-group"])
+def test_trajectory_past_max_steps_is_a_budget_error_time_regression(call):
+    # n = 10**6 walked every one of its steps, and n = 10**30 raised a bare
+    # ValueError from islice
+    code = (
+        "import json, os, time\n"
+        "from algentropy.abelian import FgAbGroup\n"
+        "from algentropy.cayley import cyclic, finite_group_trajectory\n"
+        "from algentropy.entropy import trajectory\n"
+        "from algentropy.errors import BudgetExceededError\n"
+        "from algentropy.models import ShiftGroup, shift_trajectory_order\n"
+        "from algentropy.rational import RationalEndo, RationalLattice\n"
+        "B = ShiftGroup(FgAbGroup([2]))\n"
+        "def outcome(n):\n"
+        "    try:\n"
+        f"        {call}\n"
+        "    except BudgetExceededError as exc:\n"
+        "        return 'max_steps' in str(exc)\n"
+        "    return 'ran'\n"
+        "start = time.perf_counter()\n"
+        "seen = [outcome(n) for n in (65, 10**6, 10**30)]\n"
+        "seconds = time.perf_counter() - start\n"
+        "os.environ['ALGENTROPY_MAX_STEPS'] = '3'\n"
+        "seen += [outcome(3), outcome(4)]\n"
+        "print(json.dumps([seen, seconds]))\n"
+    )
+    seen, seconds = json.loads(fresh_interpreter(code, timeout=30).stdout)
+    assert seen == [True, True, True, "ran", True]
+    assert seconds < 1.0
 
 
 def test_intrinsic_adjoint_entropy_values():
