@@ -2,10 +2,11 @@
 
 For f = s (t - l_1) ... (t - l_d) the measure is
 m(f) = log|s| + sum_{|l_i| > 1} log|l_i|.  The pipeline is exact as far
-as it can be: content and t-powers split off, then one pass over the
-square-free factors of Yun's algorithm removes from each its cyclotomic
-factors by exact division and then its rational roots, found by p-adic
-lifting (see :mod:`algentropy.polynomial`).  Only the root moduli of the
+as it can be: content and t-powers split off, one pass of exact
+divisions removes every cyclotomic factor with its multiplicity, and
+only the rest goes through Yun's square-free split, whose factors lose
+their rational roots, found by p-adic lifting (see
+:mod:`algentropy.polynomial`).  Only the root moduli of the
 surviving factors are numeric, and even there the error bound is
 rigorous: approximations get Weierstrass disks D(z_i, d*|W_i|) whose
 radii are bounded in integer arithmetic on the exact dyadic values of
@@ -14,10 +15,12 @@ the points and then rounded up to dyadic numbers of 64 significant bits
 contains exactly m roots), so the returned interval always contains the
 true measure.
 
-Two refinement schedules are available ("aberth" over machine complex
-numbers escalating into mpmath, "durand_kerner" purely in mpmath) so a
-caller can cross-check one against the other; the certification step is
-shared and exact either way.  Coefficients too large for a double skip
+Two refinement schedules are available ("aberth", Aberth-Ehrlich
+sweeps, and "durand_kerner", raw Weierstrass sweeps) so a caller can
+cross-check one against the other.  Each runs its sweep first on
+machine complex numbers and escalates into mpmath, imported only then,
+at doubling precision; the certification step is shared and exact
+either way.  Coefficients too large for a double skip
 the machine stage and start in mpmath.  Every stage of both schedules
 starts from the same points, spread by the Newton polygon of the
 coefficient moduli (Bini, Numer. Algorithms 13, 1996), so roots whose
@@ -31,9 +34,9 @@ does not refine the dyadic grid of the whole certificate.
 Cheap exact filters keep the exact stages polynomial in the degree
 (Bradford & Davenport, "Effective tests for cyclotomic polynomials",
 ISSAC '88): the cyclotomic peel tries only the orders k with
-phi(k) <= deg g, and builds and divides by Phi_k only when the integer
+phi(k) <= deg g, and builds and divides by Phi_k only while the integer
 Phi_k(2) divides g(2); :func:`kronecker_test` rejects a polynomial that
-is neither palindromic nor anti-palindromic before any split, since
+is neither palindromic nor anti-palindromic before the peel, since
 every product of cyclotomic polynomials is one or the other; and the
 square-free split returns a square-free factor whole after one gcd
 modulo a prime (see :mod:`algentropy.polynomial`).  None of them changes
@@ -169,24 +172,23 @@ def _orders(d):
 
 
 def _peel_cyclotomics(g):
-    """Divide out every cyclotomic factor of g (exactly).
+    """Divide out every cyclotomic factor of g (exactly), with its multiplicity.
 
     Every irreducible cyclotomic factor Phi_k of g has phi(k) <= deg g,
     so only those orders are tried, in increasing k; the bounds shrink as
     factors come off.  g = Phi_k * q in Z[t] gives g(2) = Phi_k(2) q(2),
-    so Phi_k is built and divided only when Phi_k(2) divides g(2).
-    Returns (reduced g, number of roots removed).
+    so Phi_k divides g only when the integer Phi_k(2) divides g(2), and
+    that is checked before every division, the repeated ones included.
+    g need not be square-free.  Returns (reduced g, number of roots
+    removed).
     """
     removed = 0
     deg = g.degree
     at_two = _horner(g.coeffs, 2)
     for k, phi_k, phi_at_two in _orders(deg):
-        if phi_k > deg or at_two % phi_at_two:
-            continue
-        phi = cyclotomic_polynomial(k)
-        while phi_k <= deg:
+        while phi_k <= deg and not at_two % phi_at_two:
             try:
-                g = exact_div(g, phi)
+                g = exact_div(g, cyclotomic_polynomial(k))
             except ValueError:
                 break
             removed += phi_k
@@ -200,7 +202,13 @@ def _peel_cyclotomics(g):
 def kronecker_test(f):
     """Exact test: is every root of f a root of unity (after t-powers)?
 
-    Requires a primitive input.  Equivalent to mahler_measure(f) == 0.
+    Answers every nonzero integer polynomial, and agrees with
+    ``mahler_measure(f).kronecker``: a content c != +-1 adds log|c| > 0
+    to the measure, so it gives False.  On the sign-normalized primitive
+    part without t-powers, g is a product of cyclotomic polynomials iff
+    it is monic with constant term +-1, palindromic or anti-palindromic
+    (Phi_1 = t - 1 is anti-palindromic and every other Phi_k is
+    palindromic), and the cyclotomic peel leaves a constant.
 
     >>> kronecker_test(IntPolynomial([1, 1, 1]))   # t^2 + t + 1
     True
@@ -208,28 +216,19 @@ def kronecker_test(f):
     False
     >>> kronecker_test(IntPolynomial([1, -2, 1]))  # (t - 1)^2
     True
+    >>> kronecker_test(IntPolynomial([2, 2]))      # content 2
+    False
     """
     if f.is_zero():
         raise DomainError("the zero polynomial has no roots")
-    if not f.is_primitive():
-        raise DomainError("kronecker_test expects a primitive polynomial")
-    _, g = f.strip_t_power()
-    if g.degree == 0:
-        return g.is_one()
+    if f.content() != 1:
+        return False
+    _, g = f.primitive().strip_t_power()
     if g.leading != 1 or abs(g.constant) != 1:
-        # a product of cyclotomics is monic with constant term +-1
         return False
     if g.coeffs[::-1] not in (g.coeffs, (-g).coeffs):
-        # Phi_1 = t - 1 is anti-palindromic and every other Phi_k is
-        # palindromic, so a product of them is one or the other
         return False
-    for factor, _ in squarefree_decomposition(g):
-        if factor.leading != 1:
-            return False
-        reduced, _ = _peel_cyclotomics(factor)
-        if reduced.degree > 0:
-            return False
-    return True
+    return _peel_cyclotomics(g)[0].degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -612,34 +611,38 @@ def _check_floor(poly, cert, tol):
         )
 
 
+# each schedule's sweep, run first on machine complex numbers, then in mpmath
+_SWEEPS = {"aberth": _aberth_sweep, "durand_kerner": _weierstrass_sweep}
+
+
 def _enclose_factor(poly, tol, schedule):
     """Certified enclosure of the root contribution of one squarefree factor."""
-    import mpmath
-
+    sweep = _SWEEPS.get(schedule)
+    if sweep is None:
+        raise ValueError(f"unknown schedule {schedule!r}")
     iters_left = _REFINE_ITERATIONS
     seeds = None
-    if schedule == "aberth":
+    try:
+        coeffs = [complex(c) for c in poly.coeffs]
+        starts = _starts(poly)
+    except OverflowError:
+        coeffs = None  # beyond binary64: skip the double stage
+    if coeffs is not None:
+        zs, used = sweep(coeffs, starts, min(60, iters_left), 1e-15)
+        zs = [_round_to_modulus(z) for z in zs]
+        iters_left -= used
         try:
-            coeffs = [complex(c) for c in poly.coeffs]
-            starts = _starts(poly)
-        except OverflowError:
-            coeffs = None  # beyond binary64: skip the double stage
-        if coeffs is not None:
-            zs, used = _aberth_sweep(coeffs, starts, min(60, iters_left), 1e-15)
-            zs = [_round_to_modulus(z) for z in zs]
-            iters_left -= used
-            try:
-                cert = _certify(poly, zs, tol)
-            except ValueError:
-                cert = None  # inf/nan in the double sweep: escalate
-            if cert is not None:
-                if cert.ok:
-                    return cert
-                _check_floor(poly, cert, tol)
-            if all(_is_finite_complex(z) for z in zs):
-                seeds = zs
-    elif schedule != "durand_kerner":
-        raise ValueError(f"unknown schedule {schedule!r}")
+            cert = _certify(poly, zs, tol)
+        except ValueError:
+            cert = None  # inf/nan in the double sweep: escalate
+        if cert is not None:
+            if cert.ok:
+                return cert
+            _check_floor(poly, cert, tol)
+        if all(_is_finite_complex(z) for z in zs):
+            seeds = zs
+    import mpmath  # here, not at the top: most factors never get this far
+
     dps = 40
     while iters_left > 0 and dps <= 1300:
         with mpmath.workdps(dps):
@@ -648,11 +651,7 @@ def _enclose_factor(poly, tol, schedule):
                 zs = _starts(poly, mpmath.mp)
             else:
                 zs = [mpmath.mpc(z) for z in seeds]
-            stop = 10.0 ** (5 - dps)
-            if schedule == "aberth":
-                zs, used = _aberth_sweep(coeffs, zs, min(80, iters_left), stop)
-            else:
-                zs, used = _weierstrass_sweep(coeffs, zs, min(80, iters_left), stop)
+            zs, used = sweep(coeffs, zs, min(80, iters_left), 10.0 ** (5 - dps))
             iters_left -= used
         cert = _certify(poly, zs, tol)
         if cert.ok:
@@ -690,24 +689,23 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
     if f.is_zero():
         raise DomainError("the zero polynomial has no Mahler measure")
     exact_q = abs(f.content())
-    work = f.primitive()
-    _, work = work.strip_t_power()
+    _, work = f.primitive().strip_t_power()
+    if use_exact_paths:
+        # peel first: the split and the root search then never see +-1
+        work, _ = _peel_cyclotomics(work)
     outside = 0
     numeric = []
-    if work.degree > 0:
-        for factor, mult in squarefree_decomposition(work):
-            if use_exact_paths:
-                # peel first: the root search then never sees +-1
-                factor, _ = _peel_cyclotomics(factor)
-                if factor.degree > 0:
-                    roots, factor = rational_roots(factor)
-                    for r in roots:
-                        exact_q *= max(abs(r.numerator), r.denominator) ** mult
-                        if abs(r) > 1:
-                            outside += mult
-            if factor.degree > 0:
-                # g and (-1)^deg g(-t) have the same root moduli: one value
-                numeric.append((IntPolynomial(_orbit_key(factor.coeffs)), mult))
+    split = squarefree_decomposition(work) if work.degree > 0 else []
+    for factor, mult in split:
+        if use_exact_paths:
+            roots, factor = rational_roots(factor)
+            for r in roots:
+                exact_q *= max(abs(r.numerator), r.denominator) ** mult
+                if abs(r) > 1:
+                    outside += mult
+        if factor.degree > 0:
+            # g and (-1)^deg g(-t) have the same root moduli: one value
+            numeric.append((IntPolynomial(_orbit_key(factor.coeffs)), mult))
     if not numeric:
         return MahlerResult(
             value=0.0 if exact_q == 1 else math.log(exact_q),

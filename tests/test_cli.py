@@ -28,6 +28,13 @@ def invoke_json(*argv):
     return json.loads(out)
 
 
+@pytest.mark.parametrize("poly, verdict", [("2,2", False), ("-1,-1,-1", True), ("-2", False)])
+def test_kronecker_answers_as_measure_does_on_non_primitive_input(poly, verdict):
+    # a content other than +-1 is a positive measure; -f answers as f does
+    assert invoke_json("mahler", "kronecker", f"--poly={poly}")["kronecker"] is verdict
+    assert invoke_json("mahler", "measure", f"--poly={poly}")["kronecker"] is verdict
+
+
 def test_halg_spec_example():
     payload = invoke_json("entropy", "halg", "--matrix", "[[3,0],[0,2]]/2")
     assert payload["log_of"] == "3"

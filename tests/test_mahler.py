@@ -243,6 +243,82 @@ def test_kronecker_matches_sympy_on_small_monic_polynomials():
             assert kronecker_test(f) == _sympy_all_cyclotomic(f), f
 
 
+def test_kronecker_test_agrees_with_the_measure_on_every_nonzero_input():
+    # the monic population to degree 4 times +-1 and +-2: a content other
+    # than +-1 gives False, and -f answers as f does
+    for degree in range(5):
+        for tail in itertools.product(range(-2, 3), repeat=degree):
+            monic = IntPolynomial(list(tail) + [1])
+            for c in (1, -1, 2, -2):
+                f = monic * IntPolynomial([c])
+                assert kronecker_test(f) == mahler_measure(f).kronecker, f
+
+
+def _power(f, e):
+    g = IntPolynomial([1])
+    for _ in range(e):
+        g = g * f
+    return g
+
+
+def _sympy_pipeline(f):
+    """(kronecker, exact, roots_outside) of f read off sympy's factor_list.
+
+    Every irreducible factor but t and the cyclotomic ones counts its
+    roots outside the unit circle by mpmath.polyroots, and the measure is
+    exact iff each of them is linear.
+    """
+    t = sympy.symbols("t")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), t).factor_list()
+    exact, outside = True, 0
+    for g, mult in factors:
+        if g.as_expr() == t or g.is_cyclotomic:
+            continue
+        exact = exact and g.degree() == 1
+        roots = mpmath.polyroots([int(c) for c in g.all_coeffs()], maxsteps=200, extraprec=60)
+        outside += mult * sum(abs(r) > 1 for r in roots)
+    return _sympy_all_cyclotomic(f) or _sympy_all_cyclotomic(-f), exact, outside
+
+
+# irreducible non-cyclotomic factors: rational roots outside and inside
+# the unit circle, and irrational roots on either side of it
+_OTHER_FACTORS = [[-2, 1], [1, 2], [2, 3], [-3, 2], [-1, -1, 1], [1, 1, 2], [-1, -1, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_SMALL_ORDERS), st.integers(1, 3)), max_size=3),
+    st.sampled_from(_OTHER_FACTORS),
+    st.integers(0, 2),
+    st.sampled_from([1, -1, 2, -6]),
+    st.integers(0, 2),
+)
+@example([(1, 3), (2, 3), (6, 2)], [-1, -1, 1], 2, -1, 1)
+@example([(1, 2), (2, 3)], [-2, 1], 2, 1, 0)   # t - 2 makes g(2) = 0
+@example([(3, 3)], [1, 1, 2], 0, 2, 2)
+def test_pipeline_matches_sympy_on_products(cyclotomics, other, m, content, a):
+    # Phi_k^e * g^m * content * t^a: the peel takes each Phi_k with its
+    # multiplicity before the square-free split sees the rest
+    f = _power(IntPolynomial(other), m) * IntPolynomial([0] * a + [content])
+    for k, e in cyclotomics:
+        f = f * _power(cyclotomic_polynomial(k), e)
+    kronecker, exact, outside = _sympy_pipeline(f)
+    res = mahler_measure(f)
+    assert kronecker_test(f) == res.kronecker == kronecker
+    assert (res.exact, res.roots_outside) == (exact, outside)
+
+
+@pytest.mark.parametrize("base, e", [([-1, 1], 200), ([-1, 0, 0, 0, 0, 0, 1], 40)],
+                         ids=["(t-1)^200", "(t^6-1)^40"])
+def test_high_multiplicity_cyclotomic_powers_time_regression(base, e):
+    # one peel on the whole polynomial, with no square-free split first
+    f = _power(IntPolynomial(base), e)
+    for call in (kronecker_test, lambda g: mahler_measure(g).kronecker):
+        start = time.perf_counter()
+        assert call(f)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_tolerance_below_the_log_padding_fails_fast():
     # four roots outside the unit circle add at least 8e-12 to the width,
     # more than the per-factor tolerance 5e-12
@@ -543,11 +619,12 @@ def _oracle_roots(poly):
 
 
 def test_certify_matches_fraction_oracle(monkeypatch):
-    # squarefree factors of degree 2..12: aberth certifies in the double
-    # stage, durand_kerner works in mpmath from the start
+    # squarefree factors of degree 2..12, which both schedules certify in
+    # the double stage, and t^3 + 10^400 t + 3, whose coefficients are
+    # beyond binary64, so both start in mpmath
     runs = []
-    for degree in range(2, 13):
-        f = _seeded_squarefree(degree, 7)
+    for f in [_seeded_squarefree(degree, 7) for degree in range(2, 13)] + [
+            IntPolynomial([3, 10**400, 0, 1])]:
         runs += [(f, {}), (f, {"schedule": "durand_kerner"})]
     calls = _recorded_certify_calls(monkeypatch, runs)
     kinds = {type(z) for _, zs, _ in calls for z in zs}
@@ -712,9 +789,8 @@ def test_high_degree_intervals_contain_the_mpmath_value(degree):
         f = IntPolynomial(coeffs)
         if gcd_primitive(f, f.derivative()).degree == 0:
             break
-    schedules = ["aberth", "durand_kerner"] if degree == 20 else ["aberth"]
     truth = _polished_root_contribution(f)
-    for schedule in schedules:
+    for schedule in ("aberth", "durand_kerner"):
         res = mahler_measure(f, schedule=schedule)
         with mpmath.workdps(60):
             err = mpmath.mpf(res.error_bound.numerator) / res.error_bound.denominator
@@ -737,3 +813,42 @@ def test_no_numpy_on_any_path():
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_interpreter(code).stdout.split() == ["False"]
+
+
+def test_certified_double_stage_never_imports_mpmath():
+    # mpmath is imported only when a factor escalates past the double stage
+    code = (
+        "import io, sys\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "assert run(['entropy', 'halg', '--matrix', '[[2,1],[1,1]]'], stdout=out) == 0\n"
+        "for poly in ('1,1,0,-1,-1,-1,-1,-1,0,1,1', '1,1' + ',0' * 198 + ',1'):\n"
+        "    assert run(['mahler', 'measure', '--poly', poly], stdout=out) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    assert fresh_interpreter(code).stdout.split() == ["False"]
+
+
+def test_durand_kerner_degree_100_cold_cli_time_regression():
+    # every Weierstrass sweep ran in mpmath from 40 digits: 6-11 s at
+    # degree 100 on a 2-core machine
+    draw = random.Random("durand_kerner/100")
+    while True:
+        coeffs = [draw.choice([-1, 1])] + [draw.randint(-3, 3) for _ in range(99)] + [1]
+        f = IntPolynomial(coeffs)
+        if gcd_primitive(f, f.derivative()).degree == 0:
+            break
+    code = (
+        "import io, json, time\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        f"code = run(['mahler', 'measure', '--schedule', 'durand_kerner', "
+        f"{'--poly=' + ','.join(map(str, coeffs))!r}], stdout=out)\n"
+        "seconds = time.perf_counter() - start\n"
+        "print(json.dumps([code, json.loads(out.getvalue()), seconds]))\n"
+    )
+    code, payload, seconds = json.loads(fresh_interpreter(code).stdout)
+    assert code == 0 and not payload["exact"]
+    assert payload["roots_outside"] == str(mahler_measure(f).roots_outside)
+    assert seconds < 3.0
