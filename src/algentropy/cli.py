@@ -850,10 +850,18 @@ def build_parser():
 
 
 def run(argv, stdout=None, stderr=None):
-    """Parse, dispatch, serialize.  Returns the process exit code."""
+    """Parse, dispatch, serialize.  Returns the process exit code.
+
+    Integers of any size pass: CPython's limit on int/str conversion
+    (4,300 digits since 3.11 and 3.10.7) is lifted for the call and
+    restored after it.
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     mode = "json"
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         cfg = _session_config(args)
@@ -871,8 +879,12 @@ def run(argv, stdout=None, stderr=None):
     except ValueError as exc:
         stderr.write(f"domain error: {exc}\n")
         return 2
-    _emit(payload, mode, stdout)
-    return 0
+    else:
+        _emit(payload, mode, stdout)
+        return 0
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main(argv=None):

@@ -61,7 +61,7 @@ from .errors import (
     StabilizationError,
     UnsupportedAmbientError,
 )
-from .inertia import _ambient_ops, inert_index, strict_inert_index
+from .inertia import _ambient_ops, inert_index
 from .intlinalg import matvec
 from .mahler import kronecker_test, mahler_measure
 from .models import (
@@ -233,9 +233,9 @@ def trajectory(phi, f, n, cap=None):
 def h_alg_stabilized(phi, h, config=None):
     """Algebraic entropy of (phi, H) by index-sequence stabilization.
 
-    Requires H to be phi-inert in the additive sense; the sequence
-    a_n = |T_{n+1}/T_n| is then finite, weakly decreasing, and the
-    stabilized value a gives log a.
+    Requires H to be phi-inert in the additive sense, and raises
+    NotInertError otherwise; the sequence a_n = |T_{n+1}/T_n| is then
+    finite, weakly decreasing, and the stabilized value a gives log a.
 
     >>> from .rational import RationalEndo, RationalLattice
     >>> r = h_alg_stabilized(RationalEndo.scalar(1, Fraction(3, 2)),
@@ -246,16 +246,18 @@ def h_alg_stabilized(phi, h, config=None):
     cfg = config or default_config()
     if isinstance(phi, ShiftGroup):
         return _shift_stabilized(phi, h, cfg)
-    if not is_finite(strict_inert_index(h, phi)):
-        raise NotInertError("subgroup is not inert under the map")
     return _index_stabilized(phi, h, cfg)
 
 
 def _index_steps(phi, h):
-    """a_1, a_2, ... with a_n = |T_{n+1}/T_n|."""
+    """a_1, a_2, ... with a_n = |T_{n+1}/T_n|.
+
+    a_1 = [H + phi H : H] is the strict inert index, and the sequence is
+    weakly decreasing, so only a_1 can be infinite: then NotInertError.
+    """
     ops = _ambient_ops(h, phi)
     steps = (ops.index(b, a) for a, b in pairwise(_trajectory(ops, phi, h)))
-    return _finite(steps, DomainError, "trajectory left the finite world")
+    return _finite(steps, NotInertError, "subgroup is not inert under the map")
 
 
 def _index_limit(phi, h):
@@ -282,9 +284,9 @@ def _index_limit(phi, h):
 
 
 def _index_stabilized(phi, h, cfg):
+    steps = _index_steps(phi, h)  # checks the ambients before the limit reads them
     limit = _index_limit(phi, h)
-    seen = _stabilize(_index_steps(phi, h), cfg, "index sequence",
-                      lambda a: a == limit)
+    seen = _stabilize(steps, cfg, "index sequence", lambda a: a == limit)
     return _log_report(seen[-1], "stabilization", len(seen))
 
 

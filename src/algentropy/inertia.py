@@ -1,14 +1,11 @@
 """Inertness decision procedures.
 
-Two notions are deliberately kept apart because both are in active use:
-
-* the image-index form ``[H^phi : H^phi ∩ H]`` (``inert_index``), which
-  is what "H is phi-inert" means;
-* the additive form ``|(H + phi H)/H|`` (``strict_inert_index``), which
-  feeds intrinsic entropy.
-
-The two differ: for H = <e2> under [[1,1],[0,1]] the first is finite
-and the second infinite.
+H is phi-inert when the image index ``[H^phi : H^phi ∩ H]``
+(``inert_index``) is finite.  The additive form ``|(H + phi H)/H|``
+(``strict_inert_index``), which feeds intrinsic entropy, is the same
+number by the second isomorphism theorem, (H + phi H)/H ≅ phi H/(phi H ∩ H),
+so it reads ``inert_index``.  For H = <e2> under [[1,1],[0,1]] both are
+infinite.
 
 On a finitely generated group the inertial endomorphisms (those for
 which every subgroup is inert) are exactly the maps acting as an
@@ -224,13 +221,15 @@ def cylinder_inert_index(fam, k):
 def strict_inert_index(h, phi):
     """|(H + phi H)/H|, the additive index used by intrinsic entropy.
 
+    It equals [phi H : phi H ∩ H] by the second isomorphism theorem, so
+    it is ``inert_index(h, phi).index``.
+
     >>> from .rational import RationalEndo, RationalLattice
     >>> strict_inert_index(RationalLattice.standard(1),
     ...                    RationalEndo.scalar(1, Fraction(3, 2)))
     2
     """
-    ops = _ambient_ops(h, phi)
-    return ops.index(ops.sum(h, ops.apply(phi, h)), h)
+    return inert_index(h, phi).index
 
 
 def _endo_power(phi, k):

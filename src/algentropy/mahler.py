@@ -42,11 +42,11 @@ square-free split returns a square-free factor whole after one gcd
 modulo a prime (see :mod:`algentropy.polynomial`).  None of them changes
 an answer.
 
-Each root certified outside the unit circle adds two log paddings
-(``_LOG_PAD``) to the certified width however far the refinement goes,
-and its disk adds a positive width of its own, so a tolerance at or
-below that floor raises IndeterminateMeasureError at the first
-certificate instead of escalating the precision.
+The certificate multiplies its disk components' modulus bounds, rounded
+outward to 64 significant bits after each multiply, and takes one padded
+log of each product, so its width carries two log paddings (``_LOG_PAD``)
+at every degree; a tolerance share at or below that constant floor
+raises IndeterminateMeasureError before any refinement.
 """
 
 from __future__ import annotations
@@ -260,12 +260,13 @@ def _sqrt_floor(n, shift):
     return math.isqrt(n << bits if bits >= 0 else n >> -bits)
 
 
-def _round_up_dyadic(num, den):
+def _round_up_dyadic(num, den, down=False):
     """(m, k) with num/den <= m / 2**k < (num/den) (1 + 2**-63), num >= 0.
 
     m = ceil(2**k num/den) for the one integer k (of either sign) with
     2**63 <= 2**k num/den < 2**64: num/den rounded up to 64 significant
-    bits.  num == 0 gives (0, 0).
+    bits.  With ``down``, m is the floor of the same quotient, and
+    (num/den) (1 - 2**-63) < m / 2**k <= num/den.  num == 0 gives (0, 0).
     """
     if not num:
         return 0, 0
@@ -275,7 +276,7 @@ def _round_up_dyadic(num, den):
     if top < bottom << (_RADIUS_BITS - 1):
         top <<= 1
         k += 1
-    return -(-top // bottom), k
+    return (top // bottom if down else -(-top // bottom)), k
 
 
 def _log_bounds(num, den=1):
@@ -296,11 +297,11 @@ def _log_bounds(num, den=1):
     difference of the two logs and the two padded bounds each round once
     more, by at most 2^-53 * 0.7 S.  So the bounds are off by less than
     2^-52 (3 + 1.65 S) < (S + 2) 2^-51, which is at most 1e-12 for
-    S <= 2249.  In a certificate the integers are a modulus bound over
-    2^kk, where 2^-kk is the smaller of 2^-100 and the radius's dyadic
-    unit (about the radius over 2^63), so S is about 2 kk + log2 of the modulus and
-    passes 2249 only for radii below about 2^-1060 or moduli beyond about
-    2^2000; there the pad widens.
+    S <= 2249.  The integers that reach it are a leading coefficient, the
+    exact part of a measure, and a certificate's products of modulus
+    bounds, each m / 2^k with m of 64 bits and every factor above 1, so
+    S is at most the larger of 128 and 2 + log2 of the product: it passes
+    2249 only for values beyond about 2^2240, and there the pad widens.
     """
     g = math.gcd(num, den)
     num //= g
@@ -318,9 +319,6 @@ class _CertifiedRoots:
     contrib_hi: float
     roots_outside: int
     ok: bool
-    # every certificate of the same polynomial is wider than this many
-    # log paddings
-    pads: int = 0
 
 
 def _certify(poly, zs, tol):
@@ -343,8 +341,11 @@ def _certify(poly, zs, tol):
     rational's thousands of bits.  Disks overlap by integer comparison
     on a common power of two (Neumaier, "Enclosing clusters of zeros of
     polynomials", J. Comput. Appl. Math. 156, 2003: a connected
-    component of m disks holds exactly m roots).  Returns a
-    _CertifiedRoots with ok=False when the interval is wider than tol.
+    component of m disks holds exactly m roots).  The components' bounds
+    max(1, hi)^n are multiplied, rounded up to 64 significant bits after
+    each multiply, and max(1, lo)^n likewise rounded down; each product
+    takes one padded log.  Returns a _CertifiedRoots with ok=False when
+    the interval is wider than tol.
     """
     d = poly.degree
     s = abs(poly.leading)
@@ -430,9 +431,8 @@ def _certify(poly, zs, tol):
     comps = {}
     for i in range(d):
         comps.setdefault(find(i), []).append(i)
-    total_lo, total_hi = 0.0, 0.0
+    prod_hi = prod_lo = (1, 1)
     outside = 0
-    pads = 0
     for members in comps.values():
         # lo = min(|z_i| - r_i), hi = max(|z_i| + r_i), each a ratio
         # (num, 2^kk) with kk = max(100, rad_k[i])
@@ -453,18 +453,20 @@ def _certify(poly, zs, tol):
                 hi = cand_hi
         n = len(members)
         if hi[0] > hi[1]:
-            total_hi += n * max(0.0, _log_bounds(*hi)[1])
+            prod_hi = _times_rounded(prod_hi, hi, n, down=False)
         if lo[0] > lo[1]:
-            log_lo = _log_bounds(*lo)[0]
-            total_lo += n * max(0.0, log_lo)
+            prod_lo = _times_rounded(prod_lo, lo, n, down=True)
             outside += n
-            if log_lo >= _LOG_PAD:
-                # these n roots have log-modulus >= 2 pads; any later disk
-                # around one of them adds both pads, or its whole log
-                # modulus plus one pad, to the width
-                pads += 2 * n
+    total_hi = _log_bounds(*prod_hi)[1] if prod_hi != (1, 1) else 0.0
+    total_lo = max(0.0, _log_bounds(*prod_lo)[0])
     ok = total_hi - total_lo <= tol
-    return _CertifiedRoots(total_lo, total_hi, outside, ok, pads)
+    return _CertifiedRoots(total_lo, total_hi, outside, ok)
+
+
+def _times_rounded(prod, bound, n, down):
+    """prod * bound**n, ratios (num, den) of positive integers, rounded to 64 bits."""
+    m, k = _round_up_dyadic(prod[0] * bound[0] ** n, prod[1] * bound[1] ** n, down)
+    return (m, 1 << k) if k >= 0 else (m << -k, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +602,6 @@ def _round_to_modulus(z):
                    math.ldexp(round(math.ldexp(z.imag, -q)), q))
 
 
-def _check_floor(poly, cert, tol):
-    """Give up at once when the log paddings alone reach tol: in exact
-    arithmetic every later certificate is wider than they are."""
-    if cert.pads * Fraction(_LOG_PAD) >= Fraction(tol):
-        raise IndeterminateMeasureError(
-            f"the log padding of {cert.roots_outside} roots outside the unit "
-            f"circle reaches the tolerance (degree {poly.degree}, "
-            f"tolerance {tol})"
-        )
-
-
 # each schedule's sweep, run first on machine complex numbers, then in mpmath
 _SWEEPS = {"aberth": _aberth_sweep, "durand_kerner": _weierstrass_sweep}
 
@@ -620,6 +611,12 @@ def _enclose_factor(poly, tol, schedule):
     sweep = _SWEEPS.get(schedule)
     if sweep is None:
         raise ValueError(f"unknown schedule {schedule!r}")
+    if tol <= 2 * _LOG_PAD:
+        # a certificate with a root outside the unit circle is wider
+        raise IndeterminateMeasureError(
+            f"tolerance {tol} is at or below the two log paddings of a "
+            f"certificate (degree {poly.degree})"
+        )
     iters_left = _REFINE_ITERATIONS
     seeds = None
     try:
@@ -635,10 +632,8 @@ def _enclose_factor(poly, tol, schedule):
             cert = _certify(poly, zs, tol)
         except ValueError:
             cert = None  # inf/nan in the double sweep: escalate
-        if cert is not None:
-            if cert.ok:
-                return cert
-            _check_floor(poly, cert, tol)
+        if cert is not None and cert.ok:
+            return cert
         if all(_is_finite_complex(z) for z in zs):
             seeds = zs
     import mpmath  # here, not at the top: most factors never get this far
@@ -656,7 +651,6 @@ def _enclose_factor(poly, tol, schedule):
         cert = _certify(poly, zs, tol)
         if cert.ok:
             return cert
-        _check_floor(poly, cert, tol)
         seeds = zs
         dps *= 2
     raise IndeterminateMeasureError(

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -495,6 +496,33 @@ def test_rational_roots_of_a_large_constant_term_time_regression():
     assert seconds < 1.0
     # both roots have modulus sqrt(10^18 + 3)
     assert math.isclose(float(json.loads(out)["value"]), math.log(10**18 + 3))
+
+
+def test_integers_past_the_str_digit_limit_answer():
+    # both requests exited 2: CPython refuses int/str conversion past
+    # 4,300 digits unless the limit is lifted, and run now lifts it for
+    # its own duration only
+    code = (
+        "import io, json, sys\n"
+        "from algentropy.cli import run\n"
+        "before = sys.get_int_max_str_digits()\n"
+        "group = ['group', 'canon', '--group', 'Z/' + '7' * 5000]\n"
+        "halg = ['entropy', 'halg', '--matrix', '[[' + '7' * 3000 + ',0],[0,' + '3' * 3000 + ']]']\n"
+        "outs = [io.StringIO(), io.StringIO()]\n"
+        "codes = [run(argv, stdout=out) for argv, out in zip((group, halg), outs)]\n"
+        "print(json.dumps([codes, before, sys.get_int_max_str_digits()]\n"
+        "                 + [out.getvalue() for out in outs]))\n"
+    )
+    codes, before, after, group, halg = json.loads(fresh_interpreter(code).stdout)
+    assert codes == [0, 0]
+    assert before == after == 4300
+    own = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(group)["order"] == "7" * 5000
+        assert json.loads(halg)["log_of"] == str(int("7" * 3000) * int("3" * 3000))
+    finally:
+        sys.set_int_max_str_digits(own)
 
 
 def test_readme_examples_byte_identical():

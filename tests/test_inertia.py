@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from algentropy.abelian import (
     Endo,
     FgAbGroup,
+    endo_apply_subgroup,
     endo_preimage_subgroup,
     subgroup_from_generators,
+    subgroup_index,
     subgroup_intersect,
     subgroup_sum,
 )
@@ -105,11 +107,14 @@ endos = st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=
 
 @given(small_vecs, endos)
 def test_strict_and_image_form_agree_on_finiteness(gens, mat):
-    # (H + phi H)/H is isomorphic to phi H/(phi H meet H)
+    # (H + phi H)/H is isomorphic to phi H/(phi H meet H); the oracle is
+    # the additive index read off its own sum
     g = FgAbGroup([], 2)
     h = subgroup_from_generators(g, gens)
     phi = Endo(g, mat)
-    assert is_finite(strict_inert_index(h, phi)) == inert_index(h, phi).inert
+    additive = subgroup_index(subgroup_sum(h, endo_apply_subgroup(phi, h)), h)
+    assert strict_inert_index(h, phi) == additive
+    assert is_finite(additive) == inert_index(h, phi).inert
 
 
 @settings(max_examples=150)

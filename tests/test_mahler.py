@@ -172,22 +172,38 @@ def test_orders_are_every_k_with_small_totient():
         assert at_two == mahler._horner(cyclotomic_polynomial(k).coeffs, 2)
 
 
-def test_degree_200_measure_cold_cli_time_regression():
-    # t^200 + t + 1 took 24.8 s: the disk-overlap test cross-multiplied
-    # radii of about 15,000 bits, and the cyclotomic orders were found by
-    # trial-factoring every k <= 2 * 200^2
+def _cold_cli_trinomial(d):
+    """(exit code, JSON payload, seconds) of ``mahler measure`` on t^d + t + 1,
+    run through cli.run in a fresh interpreter."""
     code = (
         "import io, json, time\n"
         "from algentropy.cli import run\n"
         "out = io.StringIO()\n"
         "start = time.perf_counter()\n"
-        "code = run(['mahler', 'measure', '--poly', '1,1' + ',0' * 198 + ',1'], stdout=out)\n"
+        f"code = run(['mahler', 'measure', '--poly', '1,1' + ',0' * {d - 2} + ',1'], stdout=out)\n"
         "seconds = time.perf_counter() - start\n"
-        "print(json.dumps([code, json.loads(out.getvalue()), seconds]))\n"
+        "print(json.dumps([code, json.loads(out.getvalue() or 'null'), seconds]))\n"
     )
-    code, payload, seconds = json.loads(fresh_interpreter(code).stdout)
+    return json.loads(fresh_interpreter(code).stdout)
+
+
+def test_degree_200_measure_cold_cli_time_regression():
+    # t^200 + t + 1 took 24.8 s: the disk-overlap test cross-multiplied
+    # radii of about 15,000 bits, and the cyclotomic orders were found by
+    # trial-factoring every k <= 2 * 200^2
+    code, payload, seconds = _cold_cli_trinomial(200)
     assert code == 0 and payload["roots_outside"] == "132" and not payload["exact"]
     assert seconds < 3.0
+
+
+def test_degree_400_measure_at_the_default_tolerance_cold_cli_time_regression():
+    # t^400 + t + 1 exited 3 at the default tolerance 1e-9: each disk
+    # component took its own padded log, so the 266 roots outside the unit
+    # circle carried 532 paddings of 1e-12, past the factor's share
+    code, payload, seconds = _cold_cli_trinomial(400)
+    assert code == 0 and payload["roots_outside"] == "266" and not payload["exact"]
+    assert float(payload["error_bound"]) <= 1e-9
+    assert seconds < 8.0
 
 
 def _oracle_peel(g):
@@ -320,28 +336,26 @@ def test_high_multiplicity_cyclotomic_powers_time_regression(base, e):
 
 
 def test_tolerance_below_the_log_padding_fails_fast():
-    # four roots outside the unit circle add at least 8e-12 to the width,
-    # more than the per-factor tolerance 5e-12
+    # one factor gets half the tolerance; a share of 1.5e-12 is below the
+    # two log paddings (2e-12) of a certificate with a root outside
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
     with pytest.raises(IndeterminateMeasureError):
-        mahler_measure(f, tol=1e-11)
+        mahler_measure(f, tol=3e-12)
     assert time.perf_counter() - start < 0.5
-    res = mahler_measure(f, tol=2e-11)
-    assert res.roots_outside == 4 and 2 * res.error_bound <= 2e-11
+    # the floor is two paddings per factor, not two per root outside:
+    # the four roots outside once made tol=1e-11 fail
+    res = mahler_measure(f, tol=1e-11)
+    assert res.roots_outside == 4 and 2 * res.error_bound <= 1e-11
 
 
 def test_tolerance_at_the_log_padding_fails_fast():
-    # per-factor tolerance 8e-12 equals the padding of four roots outside;
+    # a share equal to the two paddings is refused before any refinement;
     # escalating through every precision took about 3 s on a 2-core machine
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
-    try:
-        res = mahler_measure(f, tol=1.6e-11)
-    except IndeterminateMeasureError:
-        pass
-    else:
-        assert 2 * res.error_bound <= 1.6e-11
+    with pytest.raises(IndeterminateMeasureError):
+        mahler_measure(f, tol=4 * mahler._LOG_PAD)
     assert time.perf_counter() - start < 0.5
     res = mahler_measure(f, tol=1.7e-11)
     assert res.roots_outside == 4 and 2 * res.error_bound <= 1.7e-11
@@ -498,10 +512,11 @@ def _fraction_log_bounds(q):
     return x - pad, x + pad
 
 
-def round_up_64(r):
-    """r >= 0 rounded up to 64 significant bits.
+def round_64(r, rounding):
+    """r >= 0 rounded to 64 significant bits by math.ceil or math.floor.
 
-    ceil(r 2^k) / 2^k for the integer k with 2^63 <= r 2^k < 2^64; 0 stays 0.
+    rounding(r 2^k) / 2^k for the integer k with 2^63 <= r 2^k < 2^64;
+    0 stays 0.
     """
     if r == 0:
         return r
@@ -510,7 +525,15 @@ def round_up_64(r):
         k -= 1
     while r * Fraction(2) ** k < 2**63:
         k += 1
-    return Fraction(math.ceil(r * Fraction(2) ** k)) / Fraction(2) ** k
+    return Fraction(rounding(r * Fraction(2) ** k)) / Fraction(2) ** k
+
+
+def round_up_64(r):
+    return round_64(r, math.ceil)
+
+
+def round_down_64(r):
+    return round_64(r, math.floor)
 
 
 def fraction_certify(poly, zs, tol):
@@ -519,8 +542,11 @@ def fraction_certify(poly, zs, tol):
     Same bounds as mahler._certify (100-bit isqrt floors and ceilings of
     every modulus, each exact radius rounded up to 64 significant bits
     by ``round_up_64``), computed with no common scale and no integer
-    clearing of denominators.  Returns (contrib_lo, contrib_hi,
-    roots_outside, ok); the approximations must be distinct.
+    clearing of denominators.  The components' bounds max(1, hi)^n and
+    max(1, lo)^n are multiplied, rounded up and down to 64 significant
+    bits after each multiply, and each product takes one padded log.
+    Returns (contrib_lo, contrib_hi, roots_outside, ok); the
+    approximations must be distinct.
     """
     d = poly.degree
     s = abs(poly.leading)
@@ -554,15 +580,17 @@ def fraction_certify(poly, zs, tol):
     comps = {}
     for i in range(d):
         comps.setdefault(find(i), []).append(i)
-    total_lo, total_hi, outside = 0.0, 0.0, 0
+    prod_lo, prod_hi, outside = Fraction(1), Fraction(1), 0
     for members in comps.values():
         lo = min(mods[i][0] - radii[i] for i in members)
         hi = max(mods[i][1] + radii[i] for i in members)
         if hi > 1:
-            total_hi += len(members) * max(0.0, _fraction_log_bounds(hi)[1])
+            prod_hi = round_up_64(prod_hi * hi ** len(members))
         if lo > 1:
-            total_lo += len(members) * max(0.0, _fraction_log_bounds(lo)[0])
+            prod_lo = round_down_64(prod_lo * lo ** len(members))
             outside += len(members)
+    total_hi = _fraction_log_bounds(prod_hi)[1] if prod_hi > 1 else 0.0
+    total_lo = max(0.0, _fraction_log_bounds(prod_lo)[0])
     return total_lo, total_hi, outside, total_hi - total_lo <= tol
 
 
@@ -576,6 +604,10 @@ def test_rounded_radius_is_a_tight_upper_bound(num, den):
     rounded, exact = Fraction(m) / Fraction(2) ** k, Fraction(num, den)
     assert rounded == round_up_64(exact)
     assert exact <= rounded <= exact * (1 + Fraction(1, 2**62))
+    m, k = mahler._round_up_dyadic(num, den, down=True)
+    rounded = Fraction(m) / Fraction(2) ** k
+    assert rounded == round_down_64(exact)
+    assert exact * (1 - Fraction(1, 2**62)) <= rounded <= exact
 
 
 def _fields(cert):
@@ -780,8 +812,9 @@ def _polished_root_contribution(poly):
 @pytest.mark.parametrize("degree", range(20, 101, 10))
 def test_high_degree_intervals_contain_the_mpmath_value(degree):
     # seeded coefficients in [-3, 3], constant term +-1 and leading
-    # coefficient 1, 2 or -3; the certificate rounds its radii up and pads
-    # each log, and the interval must still hold the 60-digit value
+    # coefficient 1, 2 or -3; the certificate rounds its radii up, rounds
+    # its products of modulus bounds outward and pads the log of each, and
+    # the interval must still hold the 60-digit value
     draw = random.Random(f"containment/{degree}")
     while True:
         coeffs = ([draw.choice([-1, 1])] + [draw.randint(-3, 3) for _ in range(degree - 1)]
