@@ -61,7 +61,7 @@ from .errors import (
     StabilizationError,
     UnsupportedAmbientError,
 )
-from .inertia import _ambient_ops, inert_index
+from .inertia import _ambient_ops
 from .intlinalg import matvec
 from .mahler import kronecker_test, mahler_measure
 from .models import (
@@ -537,11 +537,10 @@ def intrinsic_adjoint_entropy(phi, h, config=None):
     """
     cfg = config or default_config()
     ops = _cotrajectory_ops(phi, h)
-    if not inert_index(h, phi).inert:
-        raise NotInertError("subgroup is not inert under the map")
     steps = (ops.index(a, b) for a, b in pairwise(_cotrajectory(ops, phi, h)))
-    # [C_n : C_{n+1}] <= [H : C_2], finite by inertness; kept as a guard
-    steps = _finite(steps, NotInertError, "cotrajectory indices are infinite")
+    # [C_1 : C_2] is the inert index, as h -> phi h gives H / C_2 ≅
+    # phi H / (phi H ∩ H); and [C_n : C_{n+1}] <= [C_1 : C_2]
+    steps = _finite(steps, NotInertError, "subgroup is not inert under the map")
     limit = _index_limit(phi, h)
     seen = _stabilize(steps, cfg, "cotrajectory indices", lambda a: a == limit)
     return _log_report(seen[-1], "cotrajectory", len(seen))

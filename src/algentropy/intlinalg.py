@@ -6,13 +6,17 @@ overflow and no rounding anywhere.  The canonical form used for lattices
 each pivot positive, entries above a pivot reduced into [0, pivot).  Two
 lattices are equal iff their canonical forms are identical.
 
-The worker routines (echelonization with gcd steps, kernels via a tracked
-unimodular transform, Smith form by alternating row and column Hermite
-forms) are deliberately plain; matrices in this library are small and
-correctness is the only thing that matters.
+Every Hermite form comes from one fold: the rows go one at a time into
+a basis kept in pivot order, and each basis row is reduced at the pivots
+of the rows below it whenever it is written.  The partial form so stays
+reduced, as Kannan & Bachem (1979) keep it, and entries do not compound
+from one elimination to the next.  Kernels come from the same fold with
+the identity's columns appended to the rows; the Smith form alternates
+row and column Hermite forms.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .base import INFINITE
@@ -56,64 +60,57 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def _echelon(rows, track=False):
-    """Integer row echelon via unimodular row operations.
+def _reduced(row, basis, pivots, i):
+    """``row``, written as basis row i: a positive pivot, and each entry
+    at the pivot of a row below it brought into [0, that pivot)."""
+    if row[pivots[i]] < 0:
+        row = [-x for x in row]
+    for k in range(i + 1, len(basis)):
+        q = row[pivots[k]] // basis[k][pivots[k]]
+        if q:
+            row = [x - q * y for x, y in zip(row, basis[k])]
+    return row
 
-    Returns (rows, transform, pivots) where pivots is a list of
-    (row, col) pairs.  Zero rows sink to the bottom.  When ``track`` is
-    false the transform is None.
+
+def _fold(rows, width):
+    """Fold ``rows`` one at a time into a reduced Hermite basis.
+
+    Pivots are read in the first ``width`` entries; the rest ride along.
+    A row whose pivot the basis already holds takes one unimodular xgcd
+    step with that basis row and folds on; a new pivot inserts it.  A
+    last pass reduces above every pivot.  Returns (basis in pivot order,
+    the rows that folded to zero).
     """
-    work = [list(r) for r in rows]
-    m = len(work)
-    ncols = len(work[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if work[i][c]:
-                piv = i
+    basis, pivots, zeros = [], [], []
+    for v in rows:
+        c = i = 0
+        while True:
+            for c in range(c, width):
+                if v[c]:
+                    break
+            else:
+                zeros.append(v)
                 break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        if track:
-            u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            if not work[i][c]:
-                continue
-            a, b = work[r][c], work[i][c]
-            g, x, y = xgcd(a, b)
-            p, q = a // g, b // g
-            # [[x, y], [-q, p]] has determinant (x*a + y*b)/g = 1
-            ri, rr = work[i], work[r]
-            work[r] = [x * s + y * t for s, t in zip(rr, ri)]
-            work[i] = [p * t - q * s for s, t in zip(rr, ri)]
-            if track:
-                ui, ur = u[i], u[r]
-                u[r] = [x * s + y * t for s, t in zip(ur, ui)]
-                u[i] = [p * t - q * s for s, t in zip(ur, ui)]
-        pivots.append((r, c))
-        r += 1
-    return work, u, pivots
-
-
-def _normalize_hnf(work, u, pivots):
-    """Make pivots positive and reduce entries above each pivot into [0, p)."""
-    for r, c in pivots:
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
-    for r, c in pivots:
-        p = work[r][c]
+            i = bisect_left(pivots, c, i)
+            if i == len(pivots) or pivots[i] != c:
+                pivots.insert(i, c)
+                basis.insert(i, v)
+                basis[i] = _reduced(v, basis, pivots, i)
+                break
+            b = basis[i]
+            g, x, y = xgcd(b[c], v[c]) if v[c] % b[c] else (b[c], 1, 0)
+            p, q = b[c] // g, v[c] // g
+            # [[x, y], [-q, p]] has determinant (x*b[c] + y*v[c])/g = 1
+            if y:
+                basis[i] = _reduced([x * s + y * t for s, t in zip(b, v)], basis, pivots, i)
+            v = [p * t - q * s for s, t in zip(b, v)]
+            i += 1
+    for r, c in enumerate(pivots):
         for i in range(r):
-            q = work[i][c] // p  # floor: brings entry into [0, p)
+            q = basis[i][c] // basis[r][c]  # floor: brings entry into [0, pivot)
             if q:
-                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                if u is not None:
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                basis[i] = [x - q * y for x, y in zip(basis[i], basis[r])]
+    return basis, zeros
 
 
 def hnf(rows):
@@ -129,16 +126,20 @@ def hnf(rows):
     """
     if not rows:
         return ()
-    work, _, pivots = _echelon(rows)
-    _normalize_hnf(work, None, pivots)
-    return tuple(tuple(work[r]) for r, _ in pivots)
+    return tuple(map(tuple, _fold(rows, len(rows[0]))[0]))
 
 
 def hnf_with_transform(rows):
-    """Return (H, U) with U unimodular, U*rows = H (zero rows kept in H)."""
-    work, u, pivots = _echelon(rows, track=True)
-    _normalize_hnf(work, u, pivots)
-    return tuple(tuple(r) for r in work), tuple(tuple(r) for r in u)
+    """Return (H, U) with U unimodular, U*rows = H (zero rows kept in H).
+
+    H lists the nonzero rows in pivot order, then the zero rows; the
+    transform rides along as the identity's columns appended to the rows.
+    """
+    m, width = len(rows), len(rows[0]) if rows else 0
+    basis, zeros = _fold([list(r) + [int(i == j) for j in range(m)]
+                          for i, r in enumerate(rows)], width)
+    done = basis + zeros
+    return tuple(tuple(r[:width]) for r in done), tuple(tuple(r[width:]) for r in done)
 
 
 def rank(rows):

@@ -195,18 +195,14 @@ class ShiftGroup:
         """hnf(rows + every relation d_j e_j), less its rows d_j e_j.
 
         A column no row touches holds d_j e_j alone, so only touched
-        columns get a relation row.  Rows are folded in one at a time,
-        which keeps the entries below the moduli.
+        columns get a relation row.  The relation rows go in first, so
+        the fold reduces every later row below the moduli.
         """
-        rows = list(rows)
+        rows = tuple(rows)
         touched = sorted({j for r in rows for j, x in enumerate(r) if x})
         span = tuple(tuple(moduli[j] if k == j else 0 for k in range(len(moduli)))
                      for j in touched)
-        lone = set(span)
-        for row in rows:
-            if row not in lone:
-                span = hnf(span + (row,))
-        return tuple(r for r in span if r not in lone)
+        return tuple(r for r in hnf(span + rows) if r not in span)
 
     @staticmethod
     def _order(form, moduli):

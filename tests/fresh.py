@@ -23,3 +23,21 @@ def fresh_interpreter(code, timeout=120):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=timeout, check=True)
+
+
+def fresh_run(argv, timeout=60):
+    """Exit code, seconds, stdout and stderr of ``cli.run(argv)`` in a fresh
+    interpreter, timed around the call alone."""
+    code = (
+        "import io, sys, time\n"
+        "from algentropy.cli import run\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        f"code = run({argv!r}, out, sys.stderr)\n"
+        "print(code, time.perf_counter() - start)\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    done = fresh_interpreter(code, timeout)
+    status, out = done.stdout.split("\n", 1)
+    exit_code, seconds = status.split()
+    return int(exit_code), float(seconds), out, done.stderr

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fresh import fresh_interpreter
 
 from algentropy.abelian import (
     Endo,
@@ -113,6 +114,26 @@ def test_canonicalize_tracks_smith_form(rows):
     # rows as their own Hermite form
     assert ila.hnf(g.relation_rows()) == g.relation_rows()
     assert g.zero_subgroup().is_zero() and g.zero_subgroup().order() == 1
+
+
+def test_presentation_32x32_cold_time_regression():
+    # the Smith form alternates row and column Hermite forms, and the old
+    # echelon pass never reduced its rows, so entries compounded: 21.8 s
+    # and 24.5 s in two runs on a 2-core machine
+    code = (
+        "import random, time\n"
+        "from algentropy.abelian import canonicalize_presentation\n"
+        "from algentropy.intlinalg import det_bareiss\n"
+        "draw = random.Random(32)\n"
+        "rows = [[draw.randint(-9, 9) for _ in range(32)] for _ in range(32)]\n"
+        "start = time.perf_counter()\n"
+        "group = canonicalize_presentation(rows)\n"
+        "seconds = time.perf_counter() - start\n"
+        "print(group.order(), abs(det_bareiss(rows)), seconds)\n"
+    )
+    order, det, seconds = fresh_interpreter(code).stdout.split()
+    assert order == det != "0"
+    assert float(seconds) < 1.0
 
 
 gen_lists = st.lists(

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from fresh import fresh_interpreter
+from fresh import fresh_interpreter, fresh_run
 
 from algentropy.cli import build_parser, parse_group, parse_matrix, parse_poly, run
 from algentropy.errors import ParseError
@@ -256,24 +256,6 @@ def test_nonabelian_traj_long_run_output():
     )
 
 
-def _fresh_run(argv, timeout=60):
-    """Exit code, seconds, stdout and stderr of ``run(argv)`` in a fresh
-    interpreter, so a loop that never ends fails by the timeout."""
-    code = (
-        "import io, sys, time\n"
-        "from algentropy.cli import run\n"
-        "out = io.StringIO()\n"
-        "start = time.perf_counter()\n"
-        f"code = run({argv!r}, out, sys.stderr)\n"
-        "print(code, time.perf_counter() - start)\n"
-        "print(out.getvalue(), end='')\n"
-    )
-    done = fresh_interpreter(code, timeout)
-    status, out = done.stdout.split("\n", 1)
-    exit_code, seconds = status.split()
-    return int(exit_code), float(seconds), out, done.stderr
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["nonabelian", "traj", "--order", "6", "--index", "1", "--phi", "[0,1,2,3,4,5]",
       "--subset", "[1,2]"], "--n"),
@@ -282,7 +264,7 @@ def _fresh_run(argv, timeout=60):
 ], ids=["nonabelian", "sumset", "adjoint"])
 def test_step_count_beyond_max_steps_is_a_budget_error(argv, flag):
     # 10^8 adjoint steps were still running after 10 s on a 2-core machine
-    code, seconds, _, err = _fresh_run(argv + [flag, str(10**8)])
+    code, seconds, _, err = fresh_run(argv + [flag, str(10**8)])
     assert code == 3 and "max_steps" in err
     assert seconds < 1.0
     assert invoke(*argv, flag, str(10**30))[0] == 3
@@ -308,7 +290,7 @@ def test_step_count_beyond_max_steps_is_a_budget_error(argv, flag):
      '{"count":"0","polynomials":[]}\n'),
 ], ids=["scale", "canon", "canon-json", "scan-height-0"])
 def test_huge_counts_answer_at_once_time_regression(argv, expected):
-    code, seconds, out, err = _fresh_run(argv)
+    code, seconds, out, err = fresh_run(argv)
     assert (code, out) == (0, expected), err
     assert seconds < 1.0
 
@@ -319,7 +301,7 @@ def test_huge_counts_answer_at_once_time_regression(argv, expected):
     (["mahler", "scan", "--degree-max", "1000000000", "--height-max", "-1"], 2),
 ], ids=["degree", "negative-height"])
 def test_scan_refuses_before_enumerating_time_regression(argv, exit_code):
-    code, seconds, out, _ = _fresh_run(argv)
+    code, seconds, out, _ = fresh_run(argv)
     assert (code, out) == (exit_code, "")
     assert seconds < 1.0
 
@@ -491,7 +473,7 @@ def test_large_bernoulli_cells_time_regression(call, expected):
 def test_rational_roots_of_a_large_constant_term_time_regression():
     # trial division over the divisors of 10^18 + 3 had not finished
     # after 45 s on a 2-core machine
-    code, seconds, out, _ = _fresh_run(["mahler", "measure", "--poly", "1000000000000000003,1,1"])
+    code, seconds, out, _ = fresh_run(["mahler", "measure", "--poly", "1000000000000000003,1,1"])
     assert code == 0
     assert seconds < 1.0
     # both roots have modulus sqrt(10^18 + 3)

@@ -6,6 +6,7 @@ stabilization against the leading coefficient, the rational-root path
 against max(log a, log b), cotrajectory closed forms against the chain.
 """
 
+import io
 import json
 import math
 import random
@@ -18,11 +19,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from fresh import fresh_interpreter
+from fresh import fresh_interpreter, fresh_run
 from shift_oracle import bfs_closure
 
 from algentropy import inertia
 from algentropy.abelian import Endo, FgAbGroup, subgroup_from_generators, subgroup_index
+from algentropy.cli import run
 from algentropy.config import default_config
 from algentropy import entropy
 from algentropy.entropy import (
@@ -884,9 +886,8 @@ def test_shift_window_states_time_regression():
 
 
 def test_cell_hnf_matches_the_plain_hermite_form():
-    # folding rows one at a time into the touched columns' relations
-    # against hnf of all rows with the full relation diagonal at once,
-    # which does not swell at this size, less its lone relation rows
+    # the touched columns' relations against the full relation diagonal,
+    # less its lone relation rows
     draw = random.Random("cell-hnf")
     cells = [[m] for m in range(2, 10)] + [[2, 2], [2, 4], [3, 3]]
     for trial in range(110):
@@ -908,6 +909,42 @@ def test_bernoulli_stabilization_time_regression(factors):
     report = h_alg_stabilized(b, b.first_coordinate_copy())
     assert time.perf_counter() - start < 3.0
     assert report.log_of == 16
+
+
+def _scaled_map(n):
+    """A seeded n x n matrix in the CLI's syntax: entries p/q with p in
+    [-5, 5] and q in [1, 5], and a nonzero diagonal."""
+    draw = random.Random(n)
+    rows = (",".join(f"{draw.choice([p for p in range(-5, 6) if p or i != j])}/"
+                     f"{draw.randint(1, 5)}" for j in range(n)) for i in range(n))
+    return "[" + ",".join(f"[{row}]" for row in rows) + "]"
+
+
+@pytest.mark.parametrize("command, n, extra", [
+    ("stabilized", 24, "--sub"),
+    ("adjoint", 16, "--sub"),
+    ("intrinsic", 24, "--cross-check"),
+])
+def test_scaled_map_entropies_cold_time_regression(command, n, extra):
+    # the old echelon pass never reduced its rows, so entries compounded:
+    # on a 2-core machine stabilized took 5.3 s, intrinsic --cross-check
+    # 5.8 s, and adjoint ran past 60 s
+    matrix = _scaled_map(n)
+    argv = ["entropy", command, "--matrix", matrix, extra]
+    if extra == "--sub":
+        argv.append(json.dumps([[int(i == j) for j in range(n)] for i in range(n)]))
+    code, seconds, out, err = fresh_run(argv)
+    assert code == 0, err
+    # the leading coefficient of the charpoly is read without a Hermite form
+    oracle = io.StringIO()
+    assert run(["entropy", "intrinsic", "--matrix", matrix], oracle) == 0
+    want = json.loads(oracle.getvalue())["log_of"]
+    payload = json.loads(out)
+    assert payload["log_of"] == want
+    if extra == "--cross-check":
+        assert payload["cross_check"]["agreement"]
+        assert payload["cross_check"]["log_of"] == want
+    assert seconds < 3.0
 
 
 @settings(max_examples=25, deadline=None)

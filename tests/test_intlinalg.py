@@ -2,8 +2,9 @@
 
 The reference computations here are deliberately naive: Fraction
 Gaussian elimination for determinants, elementwise enumeration for
-small lattice memberships, sympy for Smith normal forms.  Anything the fast path gets wrong should
-disagree with at least one of them.
+small lattice memberships, sympy for Hermite and Smith normal forms.
+Anything the fast path gets wrong should disagree with at least one of
+them.
 """
 
 import random
@@ -12,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import algentropy.intlinalg as ila
 
@@ -69,6 +70,40 @@ def test_hnf_invariant_under_row_operations(rows, rnd):
     if i != j:
         shuffled[i] = [a + 3 * b for a, b in zip(shuffled[i], shuffled[j])]
     assert ila.hnf(shuffled) == ila.hnf(rows)
+
+
+@st.composite
+def lattice_rows(draw):
+    """Row sets with zero, repeated and dependent rows among them, so the
+    rank can fall short of both dimensions."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.just(0) | st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        j, k = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [j * x + k * y for x, y in zip(a, b)])
+    return rows
+
+
+def sympy_column_hnf(rows, ncols):
+    """sympy's Hermite form of the lattice that ``rows`` span, taken on
+    the transpose: sympy's convention is the column one."""
+    flat = [x for row in rows for x in row]
+    return hermite_normal_form(sympy.Matrix(len(rows), ncols, flat).T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_rows())
+def test_hnf_matches_sympy_hermite_form(rows):
+    h = ila.hnf(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(h, pivots)):
+        assert row[c] > 0 and all(0 <= above[c] < row[c] for above in h[:i])
+    ncols = len(rows[0])
+    assert sympy_column_hnf(h, ncols) == sympy_column_hnf(rows, ncols)
 
 
 def test_hnf_known_forms():
@@ -197,11 +232,19 @@ def test_intersect_exact_small_case():
     assert ila.lattice_intersect(a, b, 2) == ((2, 2),)
 
 
-def test_hnf_with_transform_reconstructs():
-    rows = [[6, 4], [2, 8]]
+@given(lattice_rows())
+@example([[6, 4], [2, 8]])
+def test_hnf_with_transform_reconstructs(rows):
     h, u = ila.hnf_with_transform(rows)
-    assert ila.det_bareiss(u) in (1, -1)
-    assert tuple(tuple(r) for r in ila.matmul(u, rows)) == h
+    rank = sympy.Matrix(rows).rank()
+    assert abs(sympy.Matrix(u).det()) == 1
+    assert sympy.Matrix(u) * sympy.Matrix(rows) == sympy.Matrix(h)
+    assert h[:rank] == ila.hnf(rows) and len(h) == len(rows)
+    assert not any(any(row) for row in h[rank:])
+    kernel = ila._left_kernel(rows)
+    assert len(kernel) == len(rows) - rank
+    for z in kernel:
+        assert not any(sympy.Matrix([z]) * sympy.Matrix(rows))
 
 
 def test_mat_power():

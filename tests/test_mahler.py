@@ -18,7 +18,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from fresh import fresh_interpreter
+from fresh import fresh_interpreter, fresh_run
 
 from algentropy import mahler
 from algentropy.cli import run
@@ -175,16 +175,9 @@ def test_orders_are_every_k_with_small_totient():
 def _cold_cli_trinomial(d):
     """(exit code, JSON payload, seconds) of ``mahler measure`` on t^d + t + 1,
     run through cli.run in a fresh interpreter."""
-    code = (
-        "import io, json, time\n"
-        "from algentropy.cli import run\n"
-        "out = io.StringIO()\n"
-        "start = time.perf_counter()\n"
-        f"code = run(['mahler', 'measure', '--poly', '1,1' + ',0' * {d - 2} + ',1'], stdout=out)\n"
-        "seconds = time.perf_counter() - start\n"
-        "print(json.dumps([code, json.loads(out.getvalue() or 'null'), seconds]))\n"
-    )
-    return json.loads(fresh_interpreter(code).stdout)
+    poly = "1,1" + ",0" * (d - 2) + ",1"
+    code, seconds, out, _ = fresh_run(["mahler", "measure", "--poly", poly])
+    return code, json.loads(out or "null"), seconds
 
 
 def test_degree_200_measure_cold_cli_time_regression():
@@ -871,17 +864,9 @@ def test_durand_kerner_degree_100_cold_cli_time_regression():
         f = IntPolynomial(coeffs)
         if gcd_primitive(f, f.derivative()).degree == 0:
             break
-    code = (
-        "import io, json, time\n"
-        "from algentropy.cli import run\n"
-        "out = io.StringIO()\n"
-        "start = time.perf_counter()\n"
-        f"code = run(['mahler', 'measure', '--schedule', 'durand_kerner', "
-        f"{'--poly=' + ','.join(map(str, coeffs))!r}], stdout=out)\n"
-        "seconds = time.perf_counter() - start\n"
-        "print(json.dumps([code, json.loads(out.getvalue()), seconds]))\n"
-    )
-    code, payload, seconds = json.loads(fresh_interpreter(code).stdout)
+    argv = ["mahler", "measure", "--schedule", "durand_kerner", "--poly=" + ",".join(map(str, coeffs))]
+    code, seconds, out, _ = fresh_run(argv)
+    payload = json.loads(out)
     assert code == 0 and not payload["exact"]
     assert payload["roots_outside"] == str(mahler_measure(f).roots_outside)
     assert seconds < 3.0
