@@ -13,6 +13,9 @@ reduced, as Kannan & Bachem (1979) keep it, and entries do not compound
 from one elimination to the next.  Kernels come from the same fold with
 the identity's columns appended to the rows; the Smith form alternates
 row and column Hermite forms.
+
+One fraction-free Gauss-Jordan pass gives determinants, inverses over Q
+(on the rows with the identity appended) and reduced echelon forms.
 """
 
 import math
@@ -332,31 +335,43 @@ def lattice_intersect(a, b, ncols):
     return hnf(gens)
 
 
+def _gauss_jordan(rows, width):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) with pivots in the first
+    ``width`` entries: each step sets every other row to (d * row -
+    row[c] * top) / prev, exactly, as each entry is a minor of the input.
+    Returns (rows, pivot columns, sign of the row swaps); pivot row k,
+    pivot at pivots[k], is zero at the other pivots, all pivots equal the
+    last one, and the remaining rows are zero in the first ``width``.
+    """
+    m = [list(r) for r in rows]
+    pivots, sign, prev = [], 1, 1
+    for c in range(width):
+        k = len(pivots)
+        i = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top, d = m[k], m[k][c]
+        m = [r if r is top else [(d * x - r[c] * y) // prev for x, y in zip(r, top)]
+             for r in m]
+        pivots.append(c)
+        prev = d
+    return m, pivots, sign
+
+
 def det_bareiss(mat):
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant, the shared pivot of a fraction-free Gauss-Jordan pass.
 
     >>> det_bareiss(((2, 0), (0, 3)))
     6
     """
     n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    rows, pivots, sign = _gauss_jordan(mat, n)
+    if len(pivots) < n:
+        return 0
+    return sign * rows[-1][-1] if n else 1
 
 
 def snf_invariant_factors(mat):

@@ -710,22 +710,24 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
             kronecker=(exact_q == 1),
             schedule="exact",
         )
+    # each factor's own leading coefficient is part of its measure
+    leads = [_log_bounds(abs(g.leading)) if abs(g.leading) > 1 else (0.0, 0.0)
+             for g, _ in numeric]
+    q_lo, q_hi = _log_bounds(exact_q) if exact_q != 1 else (0.0, 0.0)
+    # the result promises a half-width <= tol: after the exact pads, the
+    # factors share 2 tol equally, each over its mult certificates
+    budget = 2 * tol - (q_hi - q_lo) - sum(
+        mult * (hi - lo) for (lo, hi), (_, mult) in zip(leads, numeric))
     total_lo = total_hi = 0.0
-    for factor, mult in numeric:
-        # the factor's own leading coefficient is part of its measure
-        s = abs(factor.leading)
-        if s > 1:
-            l_lo, l_hi = _log_bounds(s)
-            total_lo += mult * l_lo
-            total_hi += mult * l_hi
-        cert = _enclose_factor(factor, tol / (2 * len(numeric) * mult), schedule)
+    for (factor, mult), (l_lo, l_hi) in zip(numeric, leads):
+        total_lo += mult * l_lo
+        total_hi += mult * l_hi
+        cert = _enclose_factor(factor, budget / (len(numeric) * mult), schedule)
         total_lo += mult * cert.contrib_lo
         total_hi += mult * cert.contrib_hi
         outside += mult * cert.roots_outside
-    if exact_q != 1:
-        q_lo, q_hi = _log_bounds(exact_q)
-        total_lo += q_lo
-        total_hi += q_hi
+    total_lo += q_lo
+    total_hi += q_hi
     value = (total_lo + total_hi) / 2
     err = Fraction((total_hi - total_lo)) / 2
     if err > tol:

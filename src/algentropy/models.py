@@ -9,7 +9,8 @@ interesting dynamics happen on three computable infinite models:
   one coset per new shifted element, under an element cap.  Closures and
   shift entropies read one lattice whose cell relations stay implicit.
 * :class:`LinearShiftSpace`, finitely supported sequences over GF(p) or
-  the rationals, where the subadditive invariant is a dimension.
+  the rationals, where the subadditive invariant is a dimension; spans
+  are reduced on the same integer lattices.
 * :class:`CylinderFamily`, the chain of cylinder subgroups of the full
   (uncountable) product, kept entirely symbolic: every answer is a closed
   form in the cell order, no product element is ever materialized.
@@ -26,7 +27,8 @@ from .abelian import FgAbGroup
 from .base import _is_prime, setwise_trajectory
 from .config import default_config
 from .errors import AmbientMismatchError, BudgetExceededError, DomainError
-from .intlinalg import hnf
+from .intlinalg import _gauss_jordan, hnf
+from .rational import _clear
 
 __all__ = [
     "ShiftElement",
@@ -249,7 +251,9 @@ class LinearShiftSpace:
     """Finitely supported sequences over GF(p), or over Q when p = 0.
 
     Vectors are tuples indexed from position 0 with trailing zeros
-    stripped; subspaces are canonical reduced-echelon bases.
+    stripped; subspaces are canonical reduced-echelon bases, read off
+    the integer cores: the Hermite fold over GF(p), the fraction-free
+    Gauss-Jordan pass over Q.
 
     >>> V = LinearShiftSpace(2)
     >>> V.dim([(1, 1), (0, 1), (1, 0)])
@@ -266,13 +270,8 @@ class LinearShiftSpace:
             raise DomainError("field descriptor must be 0 or a prime")
         object.__setattr__(self, "p", p)
 
-    def _scalar(self, x):
-        if self.p:
-            return int(x) % self.p
-        return Fraction(x)
-
     def vector(self, coords):
-        vec = [self._scalar(x) for x in coords]
+        vec = [int(x) % self.p for x in coords] if self.p else list(map(Fraction, coords))
         while vec and not vec[-1]:
             vec.pop()
         return tuple(vec)
@@ -281,40 +280,24 @@ class LinearShiftSpace:
         """Right shift: prepend a zero coordinate."""
         if not vec:
             return ()
-        return (self._scalar(0),) + tuple(vec)
+        return (0 if self.p else Fraction(0),) + tuple(vec)
 
     def reduce(self, vectors):
-        """Canonical reduced echelon basis of the span."""
-        rows = [list(self.vector(v)) for v in vectors]
-        width = max((len(r) for r in rows), default=0)
-        rows = [r + [self._scalar(0)] * (width - len(r)) for r in rows if r]
-        basis = []
-        for col in range(width):
-            pivot_row = None
-            for i, r in enumerate(rows):
-                if r[col]:
-                    pivot_row = rows.pop(i)
-                    break
-            if pivot_row is None:
-                continue
-            inv = (
-                pow(pivot_row[col], -1, self.p)
-                if self.p
-                else 1 / pivot_row[col]
-            )
-            pivot_row = [self._scalar(x * inv) for x in pivot_row]
-            for r in rows:
-                if r[col]:
-                    c = r[col]
-                    for j in range(width):
-                        r[j] = self._scalar(r[j] - c * pivot_row[j])
-            for r in basis:
-                if r[col]:
-                    c = r[col]
-                    for j in range(width):
-                        r[j] = self._scalar(r[j] - c * pivot_row[j])
-            basis.append(pivot_row)
-        return tuple(self.vector(r) for r in basis)
+        """Canonical reduced echelon basis of the span.
+
+        Over GF(p), the Hermite form with implicit relations p e_j: each
+        touched column gets a pivot 1 or p, and the rows p e_j go.  Over
+        Q, the Gauss-Jordan pass's pivot rows divided by their pivots.
+        """
+        rows = [self.vector(v) for v in vectors]
+        width = max(map(len, rows), default=0)
+        rows = [r + (0,) * (width - len(r)) for r in rows]
+        if self.p:
+            form = ShiftGroup._hnf(rows, (self.p,) * width)
+        else:
+            rows, pivots, _ = _gauss_jordan(_clear(rows)[1], width)
+            form = ([Fraction(x, r[c]) for x in r] for r, c in zip(rows, pivots))
+        return tuple(self.vector(r) for r in form)
 
     def dim(self, vectors):
         return len(self.reduce(vectors))

@@ -8,7 +8,8 @@ equality is structural.  An endomorphism of Q^n, a rational matrix
 acting on coordinate columns, is stored the same way: the least ``den``
 and the integer matrix ``den * M``.  Products, determinants, inverses,
 images, preimages and characteristic polynomials all run on these
-integer matrices through ``intlinalg``; ``Fraction`` appears only where
+integer matrices through ``intlinalg`` (the determinant and the inverse
+on its fraction-free Gauss-Jordan pass); ``Fraction`` appears only where
 values enter or leave (``from_rows``, ``basis``, ``matrix``,
 ``apply_vector``, ``scalar``).
 """
@@ -278,20 +279,18 @@ class RationalEndo:
         return Fraction(ila.det_bareiss(self.mat), self.den**self.dim)
 
     def invert(self):
-        """(mat / den)^-1 = den * adj(mat) / det(mat)."""
-        det = ila.det_bareiss(self.mat)
-        if det == 0:
+        """(mat / den)^-1 = den * d mat^-1 / d, with d mat^-1 read off one
+        fraction-free Gauss-Jordan pass on [mat | I], which ends at
+        [d I | d mat^-1] for d = +-det(mat)."""
+        n = self.dim
+        rows, pivots, _ = ila._gauss_jordan(
+            [r + e for r, e in zip(self.mat, ila.identity(n))], n)
+        if len(pivots) < n:
             raise NonInvertibleError("matrix is singular over Q")
-        m, n = self.mat, self.dim
-        scale = self.den if det > 0 else -self.den
-
-        def cofactor(r, c):
-            minor = [row[:c] + row[c + 1:] for k, row in enumerate(m) if k != r]
-            return (-1) ** (r + c) * ila.det_bareiss(minor)
-
-        # entry (i, j) of the adjugate is the (j, i) cofactor
-        adj = tuple(tuple(scale * cofactor(j, i) for j in range(n)) for i in range(n))
-        return RationalEndo._from_scaled(n, abs(det), adj)
+        d = rows[0][0] if n else 1
+        scale = self.den if d > 0 else -self.den
+        return RationalEndo._from_scaled(n, abs(d), tuple(
+            tuple(scale * x for x in row[n:]) for row in rows))
 
     def power(self, k):
         """Integer power; negative powers require invertibility."""

@@ -924,11 +924,15 @@ def _scaled_map(n):
     ("stabilized", 24, "--sub"),
     ("adjoint", 16, "--sub"),
     ("intrinsic", 24, "--cross-check"),
+    ("stabilized", 40, "--sub"),
+    ("adjoint", 40, "--sub"),
 ])
 def test_scaled_map_entropies_cold_time_regression(command, n, extra):
     # the old echelon pass never reduced its rows, so entries compounded:
     # on a 2-core machine stabilized took 5.3 s, intrinsic --cross-check
-    # 5.8 s, and adjoint ran past 60 s
+    # 5.8 s, and adjoint ran past 60 s; at 40 x 40 the cofactor inverse
+    # of the index limit (n^2 determinants) took stabilized to 2.7-4.4 s
+    # and adjoint to 2.9-4.7 s
     matrix = _scaled_map(n)
     argv = ["entropy", command, "--matrix", matrix, extra]
     if extra == "--sub":

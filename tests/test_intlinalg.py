@@ -113,7 +113,26 @@ def test_hnf_known_forms():
     assert ila.hnf([[0, 0]]) == ()
 
 
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
+@st.composite
+def square_minors(draw):
+    """Square minors of rectangular matrices, mostly zeros, some with a
+    row that combines two others, so minors of every rank occur."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    n = draw(st.integers(0, min(nrows, ncols)))
+    picked = draw(st.permutations(range(nrows)))[:n]
+    cols = sorted(draw(st.permutations(range(ncols)))[:n])
+    return [[rows[i][j] for j in cols] for i in picked]
+
+
+@given(square_minors())
+@example([[0, 1], [1, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 def test_bareiss_matches_fraction_elimination(mat):
     assert ila.det_bareiss(mat) == frac_det(mat)
 

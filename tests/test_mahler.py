@@ -328,13 +328,26 @@ def test_high_multiplicity_cyclotomic_powers_time_regression(base, e):
         assert time.perf_counter() - start < 1.0
 
 
+def test_repeated_factor_certifies_within_its_multiplicity_share():
+    # each factor's share was tol / (2 N mult), so (t^3 - t - 1)^30 at
+    # 1e-10 got 1.7e-12, below the two log paddings, and was refused,
+    # although 30 certificates of half-width 1e-12 fit the promise
+    f = _power(IntPolynomial([-1, -1, 0, 1]), 30)
+    start = time.perf_counter()
+    res = mahler_measure(f, tol=1e-10)
+    assert time.perf_counter() - start < 1.0
+    assert res.roots_outside == 30 and not res.exact
+    assert res.error_bound <= 1e-10
+    assert abs(res.value - oracle_log_measure(f.coeffs)) <= res.error_bound
+
+
 def test_tolerance_below_the_log_padding_fails_fast():
-    # one factor gets half the tolerance; a share of 1.5e-12 is below the
-    # two log paddings (2e-12) of a certificate with a root outside
+    # one factor's certificate may be 2 tol wide; a share of 1.5e-12 is
+    # below the two log paddings (2e-12) of a certificate with a root outside
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
     with pytest.raises(IndeterminateMeasureError):
-        mahler_measure(f, tol=3e-12)
+        mahler_measure(f, tol=0.75e-12)
     assert time.perf_counter() - start < 0.5
     # the floor is two paddings per factor, not two per root outside:
     # the four roots outside once made tol=1e-11 fail
@@ -348,7 +361,7 @@ def test_tolerance_at_the_log_padding_fails_fast():
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
     with pytest.raises(IndeterminateMeasureError):
-        mahler_measure(f, tol=4 * mahler._LOG_PAD)
+        mahler_measure(f, tol=mahler._LOG_PAD)
     assert time.perf_counter() - start < 0.5
     res = mahler_measure(f, tol=1.7e-11)
     assert res.roots_outside == 4 and 2 * res.error_bound <= 1.7e-11

@@ -3,12 +3,15 @@
 import random
 import time
 from functools import partial
+from fractions import Fraction
 from itertools import count, islice, pairwise
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from shift_oracle import bfs_closure
+from sympy.polys.matrices import DomainMatrix
 
 from algentropy import entropy
 from algentropy.abelian import FgAbGroup
@@ -285,6 +288,62 @@ def test_linear_shift_space_rational():
     s = LinearShiftSpace(p=0)
     assert s.dim([s.vector([1]), s.vector([3])]) == 1
     assert s.dim([s.vector([1]), s.vector([0, 1]), s.vector([1, 1])]) == 2
+
+
+@st.composite
+def sequence_rows(draw):
+    """Rows of unequal lengths with zero rows, repeats, combinations of
+    earlier rows and trailing zeros."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            rows.append([0] * draw(st.integers(0, 4)))
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([x * s + y * t for s, t in zip(a, b)])
+        else:
+            entry = st.one_of(st.just(0), st.integers(-9, 9))
+            rows.append(draw(st.lists(entry, max_size=5)) + [0] * draw(st.integers(0, 2)))
+    return rows
+
+
+def _strip(row):
+    row = list(row)
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def sympy_rref(rows, p):
+    """Nonzero rows of the reduced echelon form from sympy, trailing zeros
+    stripped: Matrix.rref over Q, DomainMatrix.rref over GF(p)."""
+    width = max(map(len, rows), default=0)
+    padded = [list(r) + [0] * (width - len(r)) for r in rows]
+    if not padded or not width:
+        return ()
+    if p:
+        field = sympy.GF(p)
+        form = DomainMatrix([[field(x) for x in r] for r in padded], (len(rows), width),
+                            field).rref()[0].to_list()
+        form = [[int(x) % p for x in r] for r in form]
+    else:
+        m = sympy.Matrix(padded).rref()[0]
+        form = [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+    return tuple(r for r in map(_strip, form) if r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5, 7]), sequence_rows())
+@example(0, [[2, 4], [1, 2], [0, 0, 0], [0, 3]])
+@example(2, [[1, 1, 0], [1, 1, 0], [0, 0, 1, 0, 0]])
+def test_linear_shift_space_reduce_matches_sympy_rref(p, rows):
+    space = LinearShiftSpace(p)
+    assert space.reduce(rows) == sympy_rref(rows, p)
 
 
 def test_linear_shift_space_prime_required():
