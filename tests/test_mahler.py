@@ -349,10 +349,11 @@ def test_tolerance_below_the_log_padding_fails_fast():
     with pytest.raises(IndeterminateMeasureError):
         mahler_measure(f, tol=0.75e-12)
     assert time.perf_counter() - start < 0.5
-    # the floor is two paddings per factor, not two per root outside:
-    # the four roots outside once made tol=1e-11 fail
-    res = mahler_measure(f, tol=1e-11)
-    assert res.roots_outside == 4 and 2 * res.error_bound <= 1e-11
+    # the floor is two paddings per factor, not two per root outside: a
+    # share of 5e-12 holds one factor's two paddings (2e-12) but not two
+    # paddings for each of its four roots outside (8e-12)
+    res = mahler_measure(f, tol=2.5e-12)
+    assert res.roots_outside == 4 and res.error_bound <= 2.5e-12
 
 
 def test_tolerance_at_the_log_padding_fails_fast():
@@ -363,8 +364,9 @@ def test_tolerance_at_the_log_padding_fails_fast():
     with pytest.raises(IndeterminateMeasureError):
         mahler_measure(f, tol=mahler._LOG_PAD)
     assert time.perf_counter() - start < 0.5
-    res = mahler_measure(f, tol=1.7e-11)
-    assert res.roots_outside == 4 and 2 * res.error_bound <= 1.7e-11
+    # a share of 8.5e-12, a few paddings above the refusal, certifies
+    res = mahler_measure(f, tol=4.25e-12)
+    assert res.roots_outside == 4 and res.error_bound <= 4.25e-12
 
 
 @settings(max_examples=30, deadline=None)
