@@ -114,7 +114,7 @@ class _Scanner:
         start = self.pos
         if self.peek() in "+-":
             self.pos += 1
-        while self.peek().isdigit():
+        while self.peek() in "0123456789":
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             self.error("expected an integer")
@@ -686,7 +686,6 @@ def _add_config_flags(parser, leaf=False):
 
 
 def _session_config(args):
-    cfg = default_config()
     overrides = {}
     if args.tolerance is not None:
         overrides["tolerance"] = args.tolerance
@@ -697,7 +696,7 @@ def _session_config(args):
     if args.output is not None:
         overrides["output_mode"] = args.output
     try:
-        return replace(cfg, **overrides) if overrides else cfg
+        return replace(default_config(), **overrides)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -13,7 +13,13 @@ from .errors import BudgetExceededError
 
 __all__ = ["SessionConfig", "default_config"]
 
-_ENV_PREFIX = "ALGENTROPY_"
+# field, environment variable, conversion
+_ENV = (
+    ("tolerance", "ALGENTROPY_TOLERANCE", float),
+    ("max_steps", "ALGENTROPY_MAX_STEPS", int),
+    ("element_cap", "ALGENTROPY_ELEMENT_CAP", int),
+    ("output_mode", "ALGENTROPY_OUTPUT_MODE", str),
+)
 
 
 @dataclass(frozen=True)
@@ -24,10 +30,12 @@ class SessionConfig:
     output_mode: str = "json"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN fails every comparison
             raise ValueError("tolerance must be positive")
         if self.max_steps < 1:
             raise ValueError("step counts must be >= 1")
+        if self.element_cap < 0:
+            raise ValueError("element cap must be >= 0")
         if self.output_mode not in ("json", "text"):
             raise ValueError("output_mode must be 'json' or 'text'")
 
@@ -40,13 +48,10 @@ class SessionConfig:
 def default_config():
     """Defaults merged with any ALGENTROPY_* environment overrides."""
     kwargs = {}
-    env = os.environ
-    if _ENV_PREFIX + "TOLERANCE" in env:
-        kwargs["tolerance"] = float(env[_ENV_PREFIX + "TOLERANCE"])
-    if _ENV_PREFIX + "MAX_STEPS" in env:
-        kwargs["max_steps"] = int(env[_ENV_PREFIX + "MAX_STEPS"])
-    if _ENV_PREFIX + "ELEMENT_CAP" in env:
-        kwargs["element_cap"] = int(env[_ENV_PREFIX + "ELEMENT_CAP"])
-    if _ENV_PREFIX + "OUTPUT_MODE" in env:
-        kwargs["output_mode"] = env[_ENV_PREFIX + "OUTPUT_MODE"]
+    for field, name, convert in _ENV:
+        if name in os.environ:
+            try:
+                kwargs[field] = convert(os.environ[name])
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
     return SessionConfig(**kwargs)

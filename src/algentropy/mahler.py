@@ -662,13 +662,14 @@ def _enclose_factor(poly, tol, schedule):
 # ---------------------------------------------------------------------------
 # the measure itself
 
-def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=True):
+def mahler_measure(f, schedule="aberth", config=None, use_exact_paths=True):
     """Certified Mahler measure of a nonzero integer polynomial.
 
     Exact whenever the polynomial splits into content, t-powers, rational
     roots and cyclotomic factors; otherwise the surviving factors go to
     the numeric schedule and the result carries a rigorous error bound
-    at most ``tol``.  ``use_exact_paths=False`` disables the rational and
+    at most the session's ``tolerance`` (``config``, or the defaults and
+    the environment).  ``use_exact_paths=False`` disables the rational and
     cyclotomic shortcuts so the numeric pipeline can be cross-validated
     against :func:`kronecker_test` without circularity.
 
@@ -677,9 +678,7 @@ def mahler_measure(f, tol=None, schedule="aberth", config=None, use_exact_paths=
     >>> mahler_measure(IntPolynomial([1, 1, 1])).kronecker
     True
     """
-    cfg = config or default_config()
-    if tol is None:
-        tol = cfg.tolerance
+    tol = (config or default_config()).tolerance
     if f.is_zero():
         raise DomainError("the zero polynomial has no Mahler measure")
     exact_q = abs(f.content())

@@ -150,19 +150,19 @@ class ShiftGroup:
             gens.append(self.element({0: coords}))
         return tuple(gens)
 
-    def closure(self, generators, cap=None):
+    def closure(self, generators):
         """The subgroup generated, as a frozenset of elements.
 
         Each element is sum c_i r_i over the rows r_i of the subgroup's
         form, 0 <= c_i < d / pivot_i, so each comes out exactly once.
-        Raises before building anything when the order exceeds ``cap``
-        (default: the session's ``element_cap``).
+        Raises BudgetExceededError before building anything when the
+        order exceeds the session's ``element_cap``.
         """
         generators = tuple(generators)
         for g in generators:
             if not isinstance(g, ShiftElement) or g.group != self:
                 raise AmbientMismatchError("generator from a different group")
-        cap = default_config().element_cap if cap is None else cap
+        cap = default_config().element_cap
         places = sorted({pos for g in generators for pos, _ in g.support})
         rows, moduli = self._lattice(generators, places)
         form = self._hnf(rows, moduli)
@@ -216,13 +216,13 @@ class ShiftGroup:
         return f"ShiftGroup({self.cell!r})"
 
 
-def shift_trajectory_order(group, generators, n, cap=None):
+def shift_trajectory_order(group, generators, n):
     """Exact order of T_n = F + beta(F) + ... + beta^{n-1}(F).
 
-    ``generators`` generate the finite subgroup F; T_n holds at most
-    ``cap`` elements (default: the session's ``element_cap``).  n past
-    the session's ``max_steps`` raises BudgetExceededError before any
-    step is taken.
+    ``generators`` generate the finite subgroup F; every T_k on the way
+    holds at most the session's ``element_cap`` elements.  n past the
+    session's ``max_steps`` raises BudgetExceededError before any step
+    is taken.
 
     >>> B = ShiftGroup(FgAbGroup([2]))
     >>> [shift_trajectory_order(B, B.first_coordinate_copy(), n)
@@ -232,17 +232,17 @@ def shift_trajectory_order(group, generators, n, cap=None):
     if n <= 0:
         raise DomainError("step count must be positive")
     default_config().check_steps(n)
-    orders = map(len, _shift_trajectory(group, generators, cap))
+    orders = map(len, _shift_trajectory(group, generators))
     return next(islice(orders, n - 1, None))
 
 
-def _shift_trajectory(group, generators, cap):
+def _shift_trajectory(group, generators):
     """T_1 = F, T_2, ... as element sets, F = <generators>; the setwise
     sum of two subgroups is their subgroup sum, so each T_n is one."""
-    cap = default_config().element_cap if cap is None else cap
-    seed = group.closure(generators, cap=cap)
+    seed = group.closure(generators)
     return setwise_trajectory(
-        seed, ShiftElement.shifted, ShiftElement.__add__, cap, subgroup=True
+        seed, ShiftElement.shifted, ShiftElement.__add__,
+        default_config().element_cap, subgroup=True,
     )
 
 

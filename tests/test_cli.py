@@ -430,6 +430,49 @@ def test_non_positive_tol_is_a_parse_error():
     assert (code, out) == (1, "") and "tolerance must be positive" in err
 
 
+HALG = ("entropy", "halg", "--matrix", "[[2,1],[1,1]]")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tolerance", "nan", "tolerance must be positive"),
+    ("--element-cap", "-1", "element cap must be >= 0"),
+    ("--max-steps", "0", "step counts must be >= 1"),
+    ("--max-steps", "abc", "invalid int value"),
+])
+def test_bad_session_flag_is_a_parse_error(flag, value, message):
+    # a nan tolerance passed `tolerance <= 0` and failed certification (exit 3)
+    code, out, err = invoke(*HALG, f"{flag}={value}")
+    assert (code, out) == (1, "") and message in err
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("TOLERANCE", "nan", "tolerance must be positive"),
+    ("ELEMENT_CAP", "-1", "element cap must be >= 0"),
+    ("MAX_STEPS", "0", "step counts must be >= 1"),
+    ("MAX_STEPS", "abc", "ALGENTROPY_MAX_STEPS"),
+])
+def test_bad_session_environment_is_a_parse_error(monkeypatch, name, value, message):
+    # the environment was read outside the parse-error wrapper (exit 2)
+    monkeypatch.setenv("ALGENTROPY_" + name, value)
+    code, out, err = invoke(*HALG)
+    assert (code, out) == (1, "") and "parse error" in err and message in err
+
+
+def test_element_cap_zero_is_legal():
+    assert invoke("--element-cap", "0", *HALG)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("entropy", "halg", "--matrix", "[[\u00b2]]"),
+    ("mahler", "measure", "--poly", "1,\u00b2"),
+    ("group", "canon", "--group", "Z/\u00b2"),
+], ids=["matrix", "poly", "group"])
+def test_non_ascii_digits_are_a_parse_error(argv):
+    # str.isdigit accepts a superscript two, which int() then refuses
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "") and "parse error" in err and "position" in err
+
+
 def test_window_flag_is_gone(monkeypatch):
     code, out, err = invoke("entropy", "ent", "--cell", "Z/2", "--window", "4")
     assert (code, out) == (1, "") and "--window" in err

@@ -73,11 +73,13 @@ def test_trajectory_values():
         trajectory(phi, RationalLattice.standard(1), 0)
 
 
-def test_trajectory_cap_zero_is_a_cap():
+def test_trajectory_cap_zero_is_a_cap(monkeypatch):
     b = ShiftGroup(FgAbGroup([2]))
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "0")
     with pytest.raises(BudgetExceededError):
-        trajectory(b, b.first_coordinate_copy(), 4, cap=0)
-    assert len(trajectory(b, b.first_coordinate_copy(), 4, cap=16)) == 16
+        trajectory(b, b.first_coordinate_copy(), 4)
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "16")
+    assert len(trajectory(b, b.first_coordinate_copy(), 4)) == 16
 
 
 # the reproduced early stop: 480, 480, 480, then 160 on the standard lattice

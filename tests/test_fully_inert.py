@@ -8,6 +8,7 @@ the box, a positive verdict must survive all of it.
 import itertools
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,6 +194,20 @@ def test_box_decomposition_axis_subgroup():
     assert out.factor_verdicts == (True, True)
     assert out.fully_inert is False
     assert not inert_index(axis, out.refutation).inert
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=3))
+def test_box_decomposition_refutation_refutes(gens):
+    # the refutation is returned as built; the oracle is its inert index
+    z3 = FgAbGroup([], 3)
+    h = subgroup_from_generators(z3, gens)
+    out = box_decompose_fully_inert(h, [[0], [1, 2]])
+    assert out.fully_inert == (not gens or sympy.Matrix(gens).rank() in (0, 3))
+    if out.refutation is not None:
+        assert not inert_index(h, out.refutation).inert
+    else:
+        assert out.fully_inert
 
 
 def test_box_decomposition_finite_ambient():

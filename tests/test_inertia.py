@@ -18,6 +18,7 @@ from algentropy.abelian import (
     Endo,
     FgAbGroup,
     endo_apply_subgroup,
+    endo_kernel,
     endo_preimage_subgroup,
     subgroup_from_generators,
     subgroup_index,
@@ -331,3 +332,26 @@ def test_is_finitary():
     z2 = FgAbGroup([], 2)
     assert is_finitary(Endo(z2, [[1, 0], [0, 1]]))
     assert not is_finitary(Endo(z2, [[1, 1], [0, 1]]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_is_finitary_matches_the_fixed_point_index(data):
+    # oracle: the index of the fixed points ker(phi - 1) in the whole group
+    ds = data.draw(st.sampled_from([[], [2], [4], [2, 4], [3, 6], [2, 2]]))
+    rank = data.draw(st.integers(0, 2))
+    group = FgAbGroup(ds, rank)
+    k, n = len(ds), len(ds) + rank
+    nudge = st.sampled_from([0, 0, 0, 1, -1])
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < k and j < k:  # torsion into torsion: d_j | d_i M[j][i]
+                mat[j][i] = data.draw(st.integers(0, 3)) * (ds[j] // math.gcd(ds[i], ds[j]))
+            elif j < k:
+                mat[j][i] = data.draw(st.integers(0, ds[j] - 1))
+            elif i >= k:
+                mat[j][i] = (i == j) + data.draw(nudge)
+    phi = Endo(group, mat)
+    fixed = endo_kernel(phi + make_multiplication(group, -1))
+    assert is_finitary(phi) == is_finite(subgroup_index(group.full_subgroup(), fixed))

@@ -22,6 +22,7 @@ from fresh import fresh_interpreter, fresh_run
 
 from algentropy import mahler
 from algentropy.cli import run
+from algentropy.config import SessionConfig
 from algentropy.errors import DomainError, IndeterminateMeasureError
 from algentropy.mahler import (
     MahlerResult,
@@ -85,7 +86,7 @@ def test_exact_path_reports_log_of():
 def test_lehmer_interval_both_schedules():
     lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
     for schedule in ("aberth", "durand_kerner"):
-        res = mahler_measure(lehmer, tol=1e-10, schedule=schedule)
+        res = mahler_measure(lehmer, schedule=schedule, config=SessionConfig(tolerance=1e-10))
         assert res.schedule == schedule
         lo, hi = res.value - float(res.error_bound), res.value + float(res.error_bound)
         assert lo <= 0.1623576120077380 <= hi
@@ -334,7 +335,7 @@ def test_repeated_factor_certifies_within_its_multiplicity_share():
     # although 30 certificates of half-width 1e-12 fit the promise
     f = _power(IntPolynomial([-1, -1, 0, 1]), 30)
     start = time.perf_counter()
-    res = mahler_measure(f, tol=1e-10)
+    res = mahler_measure(f, config=SessionConfig(tolerance=1e-10))
     assert time.perf_counter() - start < 1.0
     assert res.roots_outside == 30 and not res.exact
     assert res.error_bound <= 1e-10
@@ -347,12 +348,12 @@ def test_tolerance_below_the_log_padding_fails_fast():
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
     with pytest.raises(IndeterminateMeasureError):
-        mahler_measure(f, tol=0.75e-12)
+        mahler_measure(f, config=SessionConfig(tolerance=0.75e-12))
     assert time.perf_counter() - start < 0.5
     # the floor is two paddings per factor, not two per root outside: a
     # share of 5e-12 holds one factor's two paddings (2e-12) but not two
     # paddings for each of its four roots outside (8e-12)
-    res = mahler_measure(f, tol=2.5e-12)
+    res = mahler_measure(f, config=SessionConfig(tolerance=2.5e-12))
     assert res.roots_outside == 4 and res.error_bound <= 2.5e-12
 
 
@@ -362,10 +363,10 @@ def test_tolerance_at_the_log_padding_fails_fast():
     f = IntPolynomial([1, -2, 1, 3, 3, 1, 2, -2, 1])
     start = time.perf_counter()
     with pytest.raises(IndeterminateMeasureError):
-        mahler_measure(f, tol=mahler._LOG_PAD)
+        mahler_measure(f, config=SessionConfig(tolerance=mahler._LOG_PAD))
     assert time.perf_counter() - start < 0.5
     # a share of 8.5e-12, a few paddings above the refusal, certifies
-    res = mahler_measure(f, tol=4.25e-12)
+    res = mahler_measure(f, config=SessionConfig(tolerance=4.25e-12))
     assert res.roots_outside == 4 and res.error_bound <= 4.25e-12
 
 
@@ -376,7 +377,7 @@ def test_certified_interval_contains_oracle(coeffs):
     f = IntPolynomial(coeffs)
     if f.is_zero():
         return
-    res = mahler_measure(f, tol=1e-8)
+    res = mahler_measure(f, config=SessionConfig(tolerance=1e-8))
     oracle = oracle_log_measure(f.coeffs)
     assert abs(res.value - oracle) <= float(res.error_bound) + 1e-7
 
@@ -390,9 +391,9 @@ def test_measure_is_multiplicative(a, b):
     f, g = IntPolynomial(a), IntPolynomial(b)
     if f.is_zero() or g.is_zero():
         return
-    rf = mahler_measure(f, tol=1e-9)
-    rg = mahler_measure(g, tol=1e-9)
-    rfg = mahler_measure(f * g, tol=1e-9)
+    rf = mahler_measure(f, config=SessionConfig(tolerance=1e-9))
+    rg = mahler_measure(g, config=SessionConfig(tolerance=1e-9))
+    rfg = mahler_measure(f * g, config=SessionConfig(tolerance=1e-9))
     slack = float(rf.error_bound + rg.error_bound + rfg.error_bound) + 1e-8
     assert abs(rfg.value - (rf.value + rg.value)) <= slack
 
@@ -403,8 +404,8 @@ def test_measure_invariant_under_reversal(coeffs):
     f = IntPolynomial(coeffs)
     if f.is_zero() or f.constant == 0:
         return
-    rf = mahler_measure(f, tol=1e-9)
-    rr = mahler_measure(f.reverse(), tol=1e-9)
+    rf = mahler_measure(f, config=SessionConfig(tolerance=1e-9))
+    rr = mahler_measure(f.reverse(), config=SessionConfig(tolerance=1e-9))
     assert abs(rf.value - rr.value) <= float(rf.error_bound + rr.error_bound) + 1e-8
 
 

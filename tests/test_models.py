@@ -70,11 +70,12 @@ def test_closure_orders_are_powers_of_cell_order(k):
     assert len(g.closure(gens)) == 2**k
 
 
-def test_closure_cap_enforced():
+def test_closure_cap_enforced(monkeypatch):
     g = ShiftGroup(FgAbGroup([2]))
     gens = [g.element({i: [1]}) for i in range(8)]
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "100")
     with pytest.raises(BudgetExceededError):
-        g.closure(gens, cap=100)
+        g.closure(gens)
 
 
 def test_closure_and_orders_read_the_session_element_cap(monkeypatch):
@@ -87,7 +88,8 @@ def test_closure_and_orders_read_the_session_element_cap(monkeypatch):
     with pytest.raises(BudgetExceededError):
         shift_trajectory_order(g, g.first_coordinate_copy(), 8)
     assert shift_trajectory_order(g, g.first_coordinate_copy(), 6) == 64
-    assert len(g.closure(gens, cap=256)) == 256
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "256")
+    assert len(g.closure(gens)) == 256
 
 
 def test_closure_over_the_cap_raises_before_building_time_regression():
@@ -102,8 +104,9 @@ def test_closure_over_the_cap_raises_before_building_time_regression():
 
 
 @pytest.mark.parametrize("factors", SHIFT_CELLS + [[2, 4], [4, 8], [6, 12]], ids=str)
-def test_closure_and_order_match_the_breadth_first_closure(factors):
+def test_closure_and_order_match_the_breadth_first_closure(factors, monkeypatch):
     # at most three generators of order <= 12 keep every subgroup under 12^3
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", "5000")
     group = ShiftGroup(FgAbGroup(factors))
     draw = random.Random(f"closure/{factors}")
     for _ in range(25):
@@ -115,7 +118,7 @@ def test_closure_and_order_match_the_breadth_first_closure(factors):
         places = sorted({pos for g in gens for pos, _ in g.support})
         rows, moduli = group._lattice(gens, places)
         assert ShiftGroup._order(ShiftGroup._hnf(rows, moduli), moduli) == len(want), gens
-        assert group.closure(gens, cap=5000) == want, gens
+        assert group.closure(gens) == want, gens
 
 
 def test_closure_rejects_foreign_elements():
@@ -155,31 +158,33 @@ def _closure_of_shifts(group, gens, n, cap):
     return bfs_closure(group, [g.shifted(i) for i in range(n) for g in gens], cap)
 
 
-def _or_budget(fn, *args, **kwargs):
+def _or_budget(fn, *args):
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except BudgetExceededError:
         return "over cap"
 
 
 @pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
-def test_shift_trajectory_order_matches_closure_of_shifts(factors):
+def test_shift_trajectory_order_matches_closure_of_shifts(factors, monkeypatch):
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", str(ORACLE_CAP))
     group = ShiftGroup(FgAbGroup(factors))
     for seed in (0, 1):
         gens = _spread_generators(group, seed, 1 + seed)
         for n in range(1, 6):
             want = _or_budget(_closure_of_shifts, group, gens, n, ORACLE_CAP)
-            got = _or_budget(shift_trajectory_order, group, gens, n, cap=ORACLE_CAP)
+            got = _or_budget(shift_trajectory_order, group, gens, n)
             assert got == (want if want == "over cap" else len(want)), (gens, n)
 
 
 @pytest.mark.parametrize("factors", SHIFT_CELLS, ids=str)
-def test_shift_trajectory_sets_match_closure_of_shifts(factors):
+def test_shift_trajectory_sets_match_closure_of_shifts(factors, monkeypatch):
+    monkeypatch.setenv("ALGENTROPY_ELEMENT_CAP", str(ORACLE_CAP))
     group = ShiftGroup(FgAbGroup(factors))
     gens = _spread_generators(group, 2, 2)
     for n in range(1, 4):
         want = _or_budget(_closure_of_shifts, group, gens, n, ORACLE_CAP)
-        got = _or_budget(trajectory, group, gens, n, cap=ORACLE_CAP)
+        got = _or_budget(trajectory, group, gens, n)
         assert got == want, (gens, n)
 
 
