@@ -208,10 +208,6 @@ class Subgroup:
         _same_group_sub(self, elem)
         return ila.in_lattice(elem.coords, self.basis)
 
-    def contains_subgroup(self, other):
-        _same_ambient(self, other)
-        return all(ila.in_lattice(row, self.basis) for row in other.basis)
-
     def order(self):
         """Number of elements of the subgroup (INFINITE when it has free rank)."""
         return ila.index_in(self.basis, self.group.relation_rows())

@@ -19,11 +19,30 @@ Inputs are compact text forms: groups as ``Z/8 x Z^2``, matrices as
 polynomials as ascending coefficient lists ``1,1,1``.  Larger payloads
 (descriptors, shift generators, Cayley tables) are JSON; integers may
 be written as decimal strings throughout.
+
+Parsing and dispatch
+--------------------
+One tokenizer reads the matrix, group and polynomial texts: each token
+(an integer, a matrix entry ``p/q`` with the comma or bracket after it,
+one punctuation character) is one compiled pattern matched at the scan
+position, and a failure names the position.  A matrix is read straight
+to integers, a common denominator ``den`` and the rows of ``den`` times
+the matrix, the form in which ``RationalEndo`` stores a map;
+``parse_matrix`` is a ``Fraction`` view of the same reading.
+
+The parser is a tree of three levels.  When the first two words of argv
+name a command and one of its subcommands, the tree's leaf parser for
+them reads the rest alone, as the levels above it would only pass it
+on.  Every other argv (a leading flag, ``-h``, an unknown or misplaced
+word) goes through the whole tree, the one source of usage and error
+text.
 """
 
 import argparse
 import functools
 import json
+import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -73,101 +92,126 @@ from .inertia import (
 from .mahler import kronecker_test, mahler_measure, small_measure_scan
 from .models import CylinderFamily, ShiftGroup
 from .polynomial import IntPolynomial
-from .rational import RationalEndo, RationalLattice
+from .rational import RationalEndo, RationalLattice, _lowest_terms
 
 __all__ = ["main", "run"]
+
+# the help shows the command surface, not how it is parsed
+_DESCRIPTION = __doc__ and __doc__.partition("\nParsing and dispatch\n")[0]
 
 
 # ---------------------------------------------------------------- parsing
 
-class _Scanner:
-    """Character scanner that reports failures with their position."""
+# Every token is one compiled pattern matched at the scan position, and
+# each takes the white space after it (``\s`` is exactly ``str.isspace``),
+# so the position, and the one a failure reports, is never on white
+# space.  Digits are ASCII only: ``\d`` would also take "\u0663", which
+# int() reads.
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"([+-]?([0-9]*))\s*")
+_ENTRY = re.compile(r"([+-]?([0-9]*))(?:\s*/\s*([+-]?([0-9]*)))?\s*([,\]]?)\s*")
+
+
+class _Tokens:
+    """A text read one token at a time; failures raise ParseError with
+    the position."""
+
+    __slots__ = ("text", "pos")
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(text).end()
 
     def peek(self):
-        # the sentinel never satisfies `in` membership tests, "" would
-        return self.text[self.pos] if self.pos < len(self.text) else "\0"
+        """The next character, "" at the end."""
+        return self.text[self.pos:self.pos + 1]
+
+    def advance(self):
+        """Past the next character and the white space after it."""
+        self.pos = _SPACE.match(self.text, self.pos + 1).end()
 
     def take(self, ch):
-        self.skip_ws()
-        if self.peek() == ch:
-            self.pos += 1
+        if self.text.startswith(ch, self.pos):
+            self.advance()
             return True
         return False
 
     def expect(self, ch):
         if not self.take(ch):
-            self.error(f"expected {ch!r}")
+            raise ParseError(f"expected {ch!r}", self.pos)
 
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.peek() in "0123456789":
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+    def integer(self, nonzero=False):
+        m = _INTEGER.match(self.text, self.pos)
+        if not m[2]:
+            raise ParseError("expected an integer", m.end(1))
+        value = int(m[1])
+        if nonzero and not value:
+            raise ParseError("zero denominator", m.end(1))
+        self.pos = m.end()
+        return value
 
-    def fraction(self):
-        num = self.integer()
-        if self.take("/"):
-            den = self.integer()
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+    def entry(self):
+        """A matrix entry ``p`` or ``p/q`` and the "," or "]" after it,
+        as (p, q, separator) with q a nonzero int."""
+        m = _ENTRY.match(self.text, self.pos)
+        p, p_digits, q, q_digits, sep = m.groups()
+        if not p_digits:
+            raise ParseError("expected an integer", m.end(1))
+        if q is None:
+            q = 1
+        elif not q_digits:
+            raise ParseError("expected an integer", m.end(3))
+        elif not (q := int(q)):
+            raise ParseError("zero denominator", m.end(3))
+        if not sep:
+            raise ParseError("expected ']'", m.end())
+        self.pos = m.end()
+        return int(p), q, sep
 
     def done(self):
-        self.skip_ws()
         if self.pos != len(self.text):
-            self.error("unexpected trailing input")
+            raise ParseError("unexpected trailing input", self.pos)
 
 
-def parse_matrix(text):
-    """``[[a,b],[c,d]]`` rows, entries ``p/q``, optional ``/d`` suffix."""
-    s = _Scanner(text)
+def _scaled_matrix(text):
+    """``[[a,b],[c,d]]`` rows, entries ``p/q``, optional ``/d`` suffix, as
+    (den, integer rows) with den >= 1 and den * matrix = rows."""
+    s = _Tokens(text)
     s.expect("[")
     rows = []
     while True:
         s.expect("[")
-        row = [s.fraction()]
-        while s.take(","):
-            row.append(s.fraction())
-        s.expect("]")
+        row, sep = [], ","
+        while sep == ",":
+            p, q, sep = s.entry()
+            row.append((p, q))
         rows.append(row)
         if not s.take(","):
             break
     s.expect("]")
-    if s.take("/"):
-        den = s.integer()
-        if den == 0:
-            s.error("zero denominator")
-        rows = [[x / den for x in row] for row in rows]
+    d = s.integer(nonzero=True) if s.take("/") else 1
     s.done()
     if len({len(r) for r in rows}) != 1:
         raise ParseError("rows must all have the same length")
+    den = math.lcm(*(q for row in rows for _, q in row))
+    # den // q has the sign of q; the sign of d moves onto the rows
+    rows = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
+    if d < 0:
+        rows = tuple(tuple(-x for x in row) for row in rows)
+    return den * abs(d), rows
+
+
+def parse_matrix(text):
+    """``[[a,b],[c,d]]`` rows, entries ``p/q``, optional ``/d`` suffix."""
+    den, rows = _scaled_matrix(text)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _int_matrix(text, what):
+    den, rows = _lowest_terms(*_scaled_matrix(text))
+    if den != 1:
+        raise ParseError(f"{what} entries must be integers")
     return rows
-
-
-def _int_rows(rows, what):
-    out = []
-    for row in rows:
-        if any(x.denominator != 1 for x in row):
-            raise ParseError(f"{what} entries must be integers")
-        out.append([int(x) for x in row])
-    return out
 
 
 def _as_int(x, what="integer"):
@@ -205,16 +249,15 @@ def parse_group(text):
 
 
 def _parse_group_expr(text):
-    s = _Scanner(text)
+    s = _Tokens(text)
     orders = []
     free = 0
     while True:
-        s.skip_ws()
         ch = s.peek()
-        if ch in "01":
-            s.pos += 1  # the trivial group contributes nothing
-        elif ch in "Zz":
-            s.pos += 1
+        if ch in ("0", "1"):
+            s.advance()  # the trivial group contributes nothing
+        elif ch in ("Z", "z"):
+            s.advance()
             if s.take("/"):
                 orders.append(s.integer())
             elif s.take("^"):
@@ -222,10 +265,9 @@ def _parse_group_expr(text):
             else:
                 free += 1
         else:
-            s.error("expected a factor: Z, Z^n, Z/d, 0 or 1")
-        s.skip_ws()
-        if s.peek() in "x*+":
-            s.pos += 1
+            raise ParseError("expected a factor: Z, Z^n, Z/d, 0 or 1", s.pos)
+        if s.peek() in ("x", "*", "+"):
+            s.advance()
             continue
         break
     s.done()
@@ -251,7 +293,7 @@ def parse_poly(text):
     if stripped.startswith("["):
         coeffs = [_as_int(c, "coefficient") for c in _load_json(stripped, "polynomial")]
     else:
-        s = _Scanner(stripped)
+        s = _Tokens(stripped)
         coeffs = [s.integer()]
         while s.take(","):
             coeffs.append(s.integer())
@@ -292,19 +334,18 @@ def parse_descriptor(text):
 
 
 def _fg_endo(group, text):
-    rows = _int_rows(parse_matrix(text), "endomorphism matrix")
-    return Endo(group, rows)
+    return Endo(group, _int_matrix(text, "endomorphism matrix"))
 
 
 def _rational_endo(text):
-    rows = parse_matrix(text)
+    den, rows = _scaled_matrix(text)
     if len(rows) != len(rows[0]):
         raise ParseError("endomorphism matrix must be square")
-    return RationalEndo(len(rows), rows)
+    return RationalEndo._from_scaled(len(rows), den, rows)
 
 
 def _fg_sub(group, text):
-    return subgroup_from_generators(group, _int_rows(parse_matrix(text), "subgroup generator"))
+    return subgroup_from_generators(group, _int_matrix(text, "subgroup generator"))
 
 
 def _lattice(dim, text):
@@ -410,9 +451,12 @@ def _basis_payload(sub):
     return [_plain(list(row)) for row in sub.basis]
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit(payload, mode, stream):
     if mode == "json":
-        stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        stream.write(_JSON.encode(payload))
         stream.write("\n")
         return
     for line in _text_lines("", payload):
@@ -600,7 +644,7 @@ def _cmd_growth_sumset(args, cfg):
         _require(args, "group", "matrix")
         group = parse_group(args.group)
         phi = _fg_endo(group, args.matrix)
-        points = _int_rows(parse_matrix(args.points), "point")
+        points = _int_matrix(args.points, "point")
         sizes = sumset_growth(phi, points, args.n, cfg)
     return {"sizes": [str(s) for s in sizes]}
 
@@ -685,38 +729,50 @@ def _add_config_flags(parser, leaf=False):
     parser.add_argument("--output", choices=("json", "text"), default=default)
 
 
+# the namespace attribute of each session flag and the field it sets
+_SESSION_FLAGS = (
+    ("tolerance", "tolerance"),
+    ("max_steps", "max_steps"),
+    ("element_cap", "element_cap"),
+    ("output", "output_mode"),
+)
+
+
 def _session_config(args):
     overrides = {}
-    if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.element_cap is not None:
-        overrides["element_cap"] = args.element_cap
-    if args.output is not None:
-        overrides["output_mode"] = args.output
+    for dest, field in _SESSION_FLAGS:
+        value = getattr(args, dest)
+        if value is not None:
+            overrides[field] = value
     try:
-        return replace(default_config(), **overrides)
+        cfg = default_config()
+        return replace(cfg, **overrides) if overrides else cfg
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 @functools.cache
-def build_parser():
-    top = _ArgumentParser(prog="algentropy", description=__doc__)
+def _command_tree():
+    """The parser tree, and a table from (command, subcommand) to the
+    tree's leaf parser."""
+    top = _ArgumentParser(prog="algentropy", description=_DESCRIPTION)
     _add_config_flags(top)
     common = _ArgumentParser(add_help=False)
     _add_config_flags(common, leaf=True)
     commands = top.add_subparsers(dest="command", required=True)
+    subcommands = {}
 
-    p = commands.add_parser("group", help="ambient group utilities")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    def command(name, **kwargs):
+        subcommands[name] = commands.add_parser(name, **kwargs).add_subparsers(
+            dest="subcommand", required=True)
+        return subcommands[name]
+
+    sub = command("group", help="ambient group utilities")
     q = sub.add_parser("canon", help="canonical invariant factors", parents=[common])
     q.add_argument("--group", required=True)
     q.set_defaults(handler=_cmd_group_canon)
 
-    p = commands.add_parser("sub", help="subgroup and lattice arithmetic")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("sub", help="subgroup and lattice arithmetic")
     for name, text in (
         ("index", "index [A : A meet B]"),
         ("sum", "canonical basis of A + B"),
@@ -729,8 +785,7 @@ def build_parser():
         q.add_argument("--other", required=True)
         q.set_defaults(handler=_cmd_sub)
 
-    p = commands.add_parser("inert", help="inertness decisions")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("inert", help="inertness decisions")
     q = sub.add_parser("check", help="inert index of a subgroup under a map", parents=[common])
     q.add_argument("--group")
     q.add_argument("--space", type=int)
@@ -749,8 +804,7 @@ def build_parser():
     q.add_argument("--matrix", required=True)
     q.set_defaults(handler=_cmd_inert_witness)
 
-    p = commands.add_parser("fullyinert", help="inert under every endomorphism")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("fullyinert", help="inert under every endomorphism")
     q = sub.add_parser("check", parents=[common])
     q.add_argument("--group")
     q.add_argument("--space", type=int)
@@ -760,8 +814,7 @@ def build_parser():
     q.add_argument("--descriptor", required=True)
     q.set_defaults(handler=_cmd_fullyinert_classify)
 
-    p = commands.add_parser("entropy", help="the entropy family")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("entropy", help="the entropy family")
     q = sub.add_parser("ent", help="entropy over finite subgroups", parents=[common])
     q.add_argument("--cell", help="Bernoulli shift cell")
     q.add_argument("--group")
@@ -803,8 +856,7 @@ def build_parser():
     q.add_argument("--max-index", type=int, default=10)
     q.set_defaults(handler=_cmd_entropy_scale)
 
-    p = commands.add_parser("growth", help="trajectory growth")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("growth", help="trajectory growth")
     q = sub.add_parser("classify", help="polynomial or exponential", parents=[common])
     q.add_argument("--group")
     q.add_argument("--matrix", required=True)
@@ -817,8 +869,7 @@ def build_parser():
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(handler=_cmd_growth_sumset)
 
-    p = commands.add_parser("mahler", help="Mahler measure")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("mahler", help="Mahler measure")
     q = sub.add_parser("measure", parents=[common])
     q.add_argument("--poly", required=True)
     q.add_argument("--schedule", choices=("aberth", "durand_kerner"), default="aberth")
@@ -833,8 +884,7 @@ def build_parser():
     q.add_argument("--threshold", type=float, default=0.2)
     q.set_defaults(handler=_cmd_mahler_scan)
 
-    p = commands.add_parser("nonabelian", help="finite nonabelian trajectories")
-    sub = p.add_subparsers(dest="subcommand", required=True)
+    sub = command("nonabelian", help="finite nonabelian trajectories")
     q = sub.add_parser("traj", help="trajectory sizes and transversal counts", parents=[common])
     q.add_argument("--table", help="Cayley table as a JSON matrix")
     q.add_argument("--order", type=int, help="catalog group order (<= 24)")
@@ -845,7 +895,29 @@ def build_parser():
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(handler=_cmd_nonabelian_traj)
 
-    return top
+    leaves = {(name, leaf): parser for name, sub in subcommands.items()
+              for leaf, parser in sub.choices.items()}
+    return top, leaves
+
+
+def build_parser():
+    return _command_tree()[0]
+
+
+def _parse_args(argv):
+    """The tree's namespace for argv, read by the leaf parser alone when
+    the first two words name it (module docstring, "Parsing and
+    dispatch")."""
+    top, leaves = _command_tree()
+    if argv is None:
+        argv = sys.argv[1:]
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return top.parse_args(argv)
+    # the fields the two levels above would have set
+    args = argparse.Namespace(command=argv[0], subcommand=argv[1],
+                              **{dest: None for dest, _ in _SESSION_FLAGS})
+    return leaf.parse_args(argv[2:], args)
 
 
 def run(argv, stdout=None, stderr=None):
@@ -862,7 +934,7 @@ def run(argv, stdout=None, stderr=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         cfg = _session_config(args)
         mode = cfg.output_mode
         payload = args.handler(args, cfg)

@@ -6,6 +6,7 @@ defaults; explicit CLI flags override both.  Every stabilization stops
 at a proven limit; ``max_steps`` only bounds how far it looks for it.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -46,12 +47,22 @@ class SessionConfig:
 
 
 def default_config():
-    """Defaults merged with any ALGENTROPY_* environment overrides."""
+    """Defaults merged with any ALGENTROPY_* environment overrides.
+
+    One shared frozen instance per state of the four variables (of the
+    last 16 seen): the environment is read on every call, so a change
+    shows at the next one, and a bad value raises every time it is read.
+    """
+    return _config_from(tuple(os.environ.get(name) for _, name, _ in _ENV))
+
+
+@functools.lru_cache(maxsize=16)  # raising calls are not cached
+def _config_from(values):
     kwargs = {}
-    for field, name, convert in _ENV:
-        if name in os.environ:
+    for (field, name, convert), value in zip(_ENV, values):
+        if value is not None:
             try:
-                kwargs[field] = convert(os.environ[name])
+                kwargs[field] = convert(value)
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
     return SessionConfig(**kwargs)

@@ -14,8 +14,9 @@ from one elimination to the next.  Kernels come from the same fold with
 the identity's columns appended to the rows; the Smith form alternates
 row and column Hermite forms.
 
-One fraction-free Gauss-Jordan pass gives determinants, inverses over Q
-(on the rows with the identity appended) and reduced echelon forms.
+One fraction-free Gauss-Jordan pass gives inverses over Q (on the rows
+with the identity appended) and reduced echelon forms; its echelon mode,
+which works below the pivots only, gives determinants.
 """
 
 import math
@@ -335,13 +336,18 @@ def lattice_intersect(a, b, ncols):
     return hnf(gens)
 
 
-def _gauss_jordan(rows, width):
+def _gauss_jordan(rows, width, echelon=False):
     """Fraction-free Gauss-Jordan (Bareiss 1968) with pivots in the first
     ``width`` entries: each step sets every other row to (d * row -
     row[c] * top) / prev, exactly, as each entry is a minor of the input.
     Returns (rows, pivot columns, sign of the row swaps); pivot row k,
     pivot at pivots[k], is zero at the other pivots, all pivots equal the
     last one, and the remaining rows are zero in the first ``width``.
+
+    With ``echelon`` a step updates only the rows below the pivot, from
+    its column on, at about a third of the work: the rows end in
+    Bareiss's echelon form, zero left of each pivot, and on a square
+    matrix of full rank the last pivot is the determinant up to ``sign``.
     """
     m = [list(r) for r in rows]
     pivots, sign, prev = [], 1, 1
@@ -354,21 +360,27 @@ def _gauss_jordan(rows, width):
             m[k], m[i] = m[i], m[k]
             sign = -sign
         top, d = m[k], m[k][c]
-        m = [r if r is top else [(d * x - r[c] * y) // prev for x, y in zip(r, top)]
-             for r in m]
+        if echelon:
+            for r in m[k + 1:]:  # in place: m holds copies of the rows
+                e, r[c] = r[c], 0
+                for j in range(c + 1, len(r)):
+                    r[j] = (d * r[j] - e * top[j]) // prev
+        else:
+            m = [r if r is top else [(d * x - r[c] * y) // prev for x, y in zip(r, top)]
+                 for r in m]
         pivots.append(c)
         prev = d
     return m, pivots, sign
 
 
 def det_bareiss(mat):
-    """Exact determinant, the shared pivot of a fraction-free Gauss-Jordan pass.
+    """Exact determinant, the last pivot of a fraction-free echelon pass.
 
     >>> det_bareiss(((2, 0), (0, 3)))
     6
     """
     n = len(mat)
-    rows, pivots, sign = _gauss_jordan(mat, n)
+    rows, pivots, sign = _gauss_jordan(mat, n, echelon=True)
     if len(pivots) < n:
         return 0
     return sign * rows[-1][-1] if n else 1

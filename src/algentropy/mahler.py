@@ -614,8 +614,9 @@ def _enclose_factor(poly, tol, schedule):
     if tol <= 2 * _LOG_PAD:
         # a certificate with a root outside the unit circle is wider
         raise IndeterminateMeasureError(
-            f"tolerance {tol} is at or below the two log paddings of a "
-            f"certificate (degree {poly.degree})"
+            f"the factor's share {tol} of the tolerance is at or below "
+            f"{2 * _LOG_PAD}, the two log paddings of a certificate "
+            f"(degree {poly.degree})"
         )
     iters_left = _REFINE_ITERATIONS
     seeds = None

@@ -73,9 +73,6 @@ class IntPolynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def is_one(self):
-        return self.coeffs == (1,)
-
     def content(self):
         return math.gcd(*self.coeffs) if self.coeffs else 0
 

@@ -58,9 +58,6 @@ class QSpace:
     def standard_lattice(self):
         return RationalLattice.standard(self.dim)
 
-    def zero_lattice(self):
-        return RationalLattice.zero(self.dim)
-
     def __repr__(self):
         return f"QSpace({self.dim})"
 

@@ -1,5 +1,6 @@
 """Command surface: parsing, JSON contract, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from fresh import fresh_interpreter, fresh_run
 
 from algentropy.cli import build_parser, parse_group, parse_matrix, parse_poly, run
+from algentropy.config import SessionConfig, default_config
 from algentropy.errors import ParseError
 
 
@@ -603,3 +605,68 @@ def test_unknown_subcommand_is_parse_error():
 def test_parser_builds_clean():
     parser = build_parser()
     assert parser.prog == "algentropy"
+
+
+# (exit, stdout, stderr) of each form, recorded on the three-level parser
+# and character scanner that the leaf dispatch and the tokenizer replaced
+ARGV_FORMS = json.loads((Path(__file__).parent / "cli_argv_forms.json").read_text())
+
+
+@pytest.mark.parametrize("form", ARGV_FORMS, ids=lambda form: " ".join(form["argv"])[:60])
+def test_argv_forms_byte_identical(form, monkeypatch):
+    # flags before and after the command, abbreviations, -h at each level,
+    # unknown and misplaced words; help text is wrapped at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("TOLERANCE", "MAX_STEPS", "ELEMENT_CAP", "OUTPUT_MODE"):
+        monkeypatch.delenv("ALGENTROPY_" + name, raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(form["argv"]), stdout=out, stderr=err)
+        except SystemExit as exc:  # -h prints the help and exits
+            code = exc.code
+    assert (code, out.getvalue(), err.getvalue()) == (form["exit"], form["stdout"], form["stderr"])
+
+
+def test_leaf_requests_skip_the_upper_levels(monkeypatch):
+    # a request naming its command and subcommand first is read by the
+    # leaf parser alone; any other argv still walks the whole tree
+    def walked(*args, **kwargs):
+        raise AssertionError("the full tree read a leaf request")
+
+    monkeypatch.setattr(build_parser(), "parse_args", walked)
+    assert invoke_json("entropy", "halg", "--matrix", "[[2,1],[1,1]]", "--tol=1e-4")["value"] > 0
+    with pytest.raises(AssertionError):
+        invoke("--tol=1e-4", "entropy", "halg", "--matrix", "[[2,1],[1,1]]")
+
+
+def test_default_config_is_shared_per_environment(monkeypatch):
+    for name in ("TOLERANCE", "MAX_STEPS", "ELEMENT_CAP", "OUTPUT_MODE"):
+        monkeypatch.delenv("ALGENTROPY_" + name, raising=False)
+    first = default_config()
+    assert first == SessionConfig()
+    assert default_config() is first
+    monkeypatch.setenv("ALGENTROPY_MAX_STEPS", "7")
+    changed = default_config()
+    assert changed.max_steps == 7 and changed is not first
+    assert default_config() is changed
+    monkeypatch.delenv("ALGENTROPY_MAX_STEPS")
+    assert default_config() is first
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_environment_value_raises_every_call(monkeypatch, value):
+    monkeypatch.setenv("ALGENTROPY_MAX_STEPS", value)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            default_config()
+    monkeypatch.setenv("ALGENTROPY_MAX_STEPS", "5")
+    assert default_config().max_steps == 5
+
+
+def test_tolerance_refusal_names_the_factor_share():
+    # the refused 2e-300 is the factor's share of the tolerance 1e-300
+    code, out, err = invoke("entropy", "halg", "--tolerance", "1e-300", "--matrix", "[[1,1],[1,0]]")
+    assert (code, out) == (3, "")
+    assert "share 2e-300" in err and "2e-12" in err and "degree 2" in err
+    assert "tolerance 2e-300" not in err
